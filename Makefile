@@ -3,12 +3,9 @@
 # verdicts diverge from sequential ones, the summaries-ablation
 # speedup regresses below its seed-commit floor, certificate checking
 # costs more than 10% over the uncertified re-verification, span
-# recording costs more than 5%, the static analysis costs more than 5%
-# when nothing is discharged (or the interprocedural layer discharges
-# under 70% of panic checks, or Distrust refutes any interprocedural
-# claim), the store-backed incremental cross-version re-verify is
-# less than 10x faster than cold (or its verdict fingerprint drifts),
-# store bookkeeping costs more than 10% over a storeless run, the
+# recording costs more than 5%, the store-backed incremental
+# cross-version re-verify is less than 10x faster than cold (or its
+# verdict fingerprint drifts), store bookkeeping costs more than 10% over a storeless run, the
 # CDCL solver core does fewer than 2x fewer DPLL(T) iterations than
 # the legacy no-learning discipline (or more than half the PR 6
 # baseline, or its verdict fingerprint drifts), or the 200-plan chaos
@@ -21,8 +18,12 @@
 # including the Obsv_sink_fail arm, where every append is suppressed
 # (the checks live in bench/main.ml's json target).
 # `make lint` runs the abstract-interpretation linter over every
-# bundled engine version against the checked-in baseline. `make chaos`
-# is the standalone soak via the CLI; `make trace` records a
+# bundled engine version against the checked-in baseline. `make
+# verdicts` is the verdict pin: it re-verifies every bundled engine
+# version on the reference zone (all seven query types, layers on) and
+# diffs the output, timing stripped, against
+# test/golden/verdicts_reference_zone.txt. `make chaos` is the
+# standalone soak via the CLI; `make trace` records a
 # verification trace and renders it. `make fuzz` is the seeded
 # solver-fuzz smoke battery (random CNFs and LIA conjunctions, CDCL
 # vs. a reference evaluator); `make fuzz-wire` is its RFC 1035
@@ -30,8 +31,8 @@
 # `make serve` runs a UDP authoritative loop on port 5300; `make
 # loadgen` fires the default mixed load (10% malformed) at it.
 
-.PHONY: all build check test lint bench bench-json fuzz fuzz-wire \
-	serve loadgen chaos trace clean
+.PHONY: all build check test lint verdicts bench bench-json fuzz \
+	fuzz-wire serve loadgen chaos trace clean
 
 all: build
 
@@ -46,6 +47,22 @@ test:
 
 lint:
 	dune exec bin/dnsv_cli.exe -- lint --baseline lint_baseline.json
+
+VERSIONS = 1.0 2.0 3.0 dev 1.0-fixed 2.0-fixed 3.0-fixed dev-fixed
+
+# verify exits 0 (proved) or 1 (refuted) on every pinned version;
+# anything else is a failure before the diff is even looked at.
+verdicts:
+	dune build bin/dnsv_cli.exe
+	@rm -f verdicts.raw
+	@for v in $(VERSIONS); do \
+	  ./_build/default/bin/dnsv_cli.exe verify -e $$v \
+	    -t A,AAAA,NS,CNAME,SOA,MX,TXT >> verdicts.raw; \
+	  rc=$$?; \
+	  if [ $$rc -gt 1 ]; then echo "verify -e $$v exited $$rc"; exit 1; fi; \
+	done
+	sed -E 's/ \([0-9]+\.[0-9]+s\)//' verdicts.raw \
+	  | diff test/golden/verdicts_reference_zone.txt -
 
 bench:
 	dune exec bench/main.exe

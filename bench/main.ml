@@ -140,7 +140,7 @@ type reverify_run = {
   rv_stats : Smt.Solver.stats;
 }
 
-let reverify_run ?(analysis = Analysis.Trust) ~caching ~jobs () =
+let reverify_run ~caching ~jobs () =
   let zone = Spec.Fixtures.reference_zone in
   let tasks =
     List.concat (List.init reverify_passes (fun _ -> reverify_versions ()))
@@ -153,8 +153,8 @@ let reverify_run ?(analysis = Analysis.Trust) ~caching ~jobs () =
   let task cfg =
     let s0 = stats_snapshot () in
     let v =
-      Dnsv.Pipeline.verify ~check_layers:false ~budget:(Budget.create ())
-        ~analysis cfg zone
+      Dnsv.Pipeline.verify ~check_layers:false ~budget:(Budget.create ()) cfg
+        zone
     in
     let s1 = stats_snapshot () in
     (Dnsv.Pipeline.fingerprint v, Smt.Solver.diff_stats s1 s0)
@@ -283,114 +283,6 @@ let trace_overhead () =
     (String.equal off.rv_fingerprint on_.rv_fingerprint)
 
 (* ------------------------------------------------------------------ *)
-(* Static-analysis overhead                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The tax and the payoff of the abstract-interpretation pass, both on
-   the cached sequential re-verification workload. The tax arm runs
-   with [Analysis.Distrust]: the dataflow pass runs in full and every
-   claim is cross-checked, so the solver-call sequence is identical to
-   [Analysis.Off] and *nothing* is discharged — the wall-clock ratio
-   against the no-analysis arm is pure analysis cost and must stay
-   within [analysis_overhead_gate]. The payoff arm runs with
-   [Analysis.Trust] (the default) and records how many panic-guard
-   checks the invariants discharged, plus the resulting speedup.
-   Interleaved best-of-[analysis_overhead_reps] per arm, same as the
-   tracing probe. *)
-
-let analysis_overhead_gate = 1.05
-let analysis_overhead_reps = 6
-
-(* PR 10 gate: the interprocedural summary layer must discharge at
-   least this fraction of the panic-guard checks on the reverify
-   workload (the PR 9 intraprocedural layer managed ~53%). *)
-let interproc_discharge_gate = 0.70
-
-type analysis_overhead_result = {
-  ao_off : reverify_run;
-  ao_distrust : reverify_run;
-  ao_trust : reverify_run;
-  ao_panic_checks : int;
-  ao_panic_discharged : int;
-  ao_static_discharged : int;
-  ao_ip_discharged : int; (* prunes only the interprocedural layer justifies *)
-  ao_ip_crosschecked : int; (* Distrust: interprocedural claims checked *)
-  ao_ip_mismatches : int; (* ... of which the solver refuted *)
-}
-
-let analysis_overhead_runs () =
-  let arm analysis () = reverify_run ~analysis ~caching:true ~jobs:1 () in
-  ignore (arm Analysis.Off ());
-  let best cur r =
-    match cur with
-    | Some b when b.rv_wall <= r.rv_wall -> Some b
-    | _ -> Some r
-  in
-  let off = ref None and dis = ref None and tru = ref None in
-  let checks = ref 0 and pdis = ref 0 and sdis = ref 0 in
-  let ipdis = ref 0 and ipchk = ref 0 and ipmis = ref 0 in
-  for _ = 1 to analysis_overhead_reps do
-    off := best !off (arm Analysis.Off ());
-    let d0 = Trace.Metrics.snapshot () in
-    dis := best !dis (arm Analysis.Distrust ());
-    let dd = Trace.Metrics.diff (Trace.Metrics.snapshot ()) d0 in
-    let m0 = Trace.Metrics.snapshot () in
-    tru := best !tru (arm Analysis.Trust ());
-    let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
-    (* The counts are identical on every rep (the workload is
-       deterministic), so keeping the last rep's delta is fine. *)
-    checks := Trace.Metrics.get d "analysis.panic_checks";
-    pdis := Trace.Metrics.get d "analysis.panic_discharged";
-    sdis := Trace.Metrics.get d "analysis.static_discharged";
-    ipdis := Trace.Metrics.get d "analysis.ip_discharged";
-    ipchk := Trace.Metrics.get dd "analysis.ip_crosscheck";
-    ipmis := Trace.Metrics.get dd "analysis.ip_crosscheck_mismatch"
-  done;
-  {
-    ao_off = Option.get !off;
-    ao_distrust = Option.get !dis;
-    ao_trust = Option.get !tru;
-    ao_panic_checks = !checks;
-    ao_panic_discharged = !pdis;
-    ao_static_discharged = !sdis;
-    ao_ip_discharged = !ipdis;
-    ao_ip_crosschecked = !ipchk;
-    ao_ip_mismatches = !ipmis;
-  }
-
-let analysis_overhead () =
-  rule ();
-  print_endline "Static-analysis overhead (cached sequential re-verification)";
-  print_newline ();
-  let ao = analysis_overhead_runs () in
-  let ratio = ao.ao_distrust.rv_wall /. ao.ao_off.rv_wall in
-  let speedup = ao.ao_off.rv_wall /. ao.ao_trust.rv_wall in
-  Printf.printf "%-26s %8.3f s\n" "analysis off" ao.ao_off.rv_wall;
-  Printf.printf "%-26s %8.3f s   (full analysis, nothing discharged)\n"
-    "distrust (cross-check)" ao.ao_distrust.rv_wall;
-  Printf.printf "%-26s %8.3f s   %d/%d panic checks discharged\n"
-    "trust (prune)" ao.ao_trust.rv_wall ao.ao_panic_discharged
-    ao.ao_panic_checks;
-  let frac =
-    if ao.ao_panic_checks = 0 then 0.
-    else float_of_int ao.ao_panic_discharged /. float_of_int ao.ao_panic_checks
-  in
-  Printf.printf
-    "%-26s %8.1f %%   (gate >= %.0f%%; %d interproc-only, %d/%d crosschecks \
-     refuted)\n"
-    "discharge fraction" (100. *. frac)
-    (100. *. interproc_discharge_gate)
-    ao.ao_ip_discharged ao.ao_ip_mismatches ao.ao_ip_crosschecked;
-  let identical =
-    String.equal ao.ao_off.rv_fingerprint ao.ao_distrust.rv_fingerprint
-    && String.equal ao.ao_distrust.rv_fingerprint ao.ao_trust.rv_fingerprint
-  in
-  Printf.printf
-    "\noverhead %.3fx (gate <= %.2fx), trust speedup %.2fx, verdicts \
-     identical: %b\n\n"
-    ratio analysis_overhead_gate speedup identical
-
-(* ------------------------------------------------------------------ *)
 (* Incremental cross-version re-verification (persistent store)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -400,8 +292,7 @@ let analysis_overhead () =
    the edit's cone of influence — layer verdicts, module summaries,
    solver results — is served from the store, and the warm run must
    finish in under a tenth of the cold storeless time with a
-   byte-identical verdict fingerprint. The static analysis is off so
-   the probe measures store reuse, not static pruning; solver caches
+   byte-identical verdict fingerprint. Solver caches
    and the store's parsed-entry memos are scrubbed before every arm,
    so each run is cold apart from the store file itself. Warm reps
    each run over a fresh copy of the primed store (a warm rep would
@@ -455,7 +346,7 @@ let incr_verify ?store cfg =
   let t0 = Unix.gettimeofday () in
   let v =
     Dnsv.Pipeline.verify ~qtypes:incremental_qtypes
-      ~budget:(Budget.create ()) ~analysis:Analysis.Off ?store cfg
+      ~budget:(Budget.create ()) ?store cfg
       Spec.Fixtures.figure11_zone
   in
   { ir_wall = Unix.gettimeofday () -. t0; ir_fp = Dnsv.Pipeline.fingerprint v }
@@ -1229,17 +1120,6 @@ let json () =
   let to_identical =
     String.equal to_off.rv_fingerprint to_on.rv_fingerprint
   in
-  let ao = analysis_overhead_runs () in
-  let ao_ratio = ao.ao_distrust.rv_wall /. ao.ao_off.rv_wall in
-  let ao_speedup = ao.ao_off.rv_wall /. ao.ao_trust.rv_wall in
-  let ao_identical =
-    String.equal ao.ao_off.rv_fingerprint ao.ao_distrust.rv_fingerprint
-    && String.equal ao.ao_distrust.rv_fingerprint ao.ao_trust.rv_fingerprint
-  in
-  let ao_fraction =
-    if ao.ao_panic_checks = 0 then 0.
-    else float_of_int ao.ao_panic_discharged /. float_of_int ao.ao_panic_checks
-  in
   let inc = incremental_runs () in
   let inc_speedup = inc.inc_cold.ir_wall /. inc.inc_warm.ir_wall in
   let inc_identical = String.equal inc.inc_cold.ir_fp inc.inc_warm.ir_fp in
@@ -1308,40 +1188,6 @@ let json () =
                ("gate", Printf.sprintf "%.2f" trace_overhead_gate);
                ("spans", string_of_int to_spans);
                ("verdicts_identical", string_of_bool to_identical);
-             ] );
-         ( "analysis_overhead",
-           json_obj
-             [
-               ("off_wall_s", Printf.sprintf "%.4f" ao.ao_off.rv_wall);
-               ( "distrust_wall_s",
-                 Printf.sprintf "%.4f" ao.ao_distrust.rv_wall );
-               ("trust_wall_s", Printf.sprintf "%.4f" ao.ao_trust.rv_wall);
-               ("overhead_ratio", Printf.sprintf "%.3f" ao_ratio);
-               ("gate", Printf.sprintf "%.2f" analysis_overhead_gate);
-               ("trust_speedup", Printf.sprintf "%.3f" ao_speedup);
-               ("panic_checks", string_of_int ao.ao_panic_checks);
-               ("panic_discharged", string_of_int ao.ao_panic_discharged);
-               ("static_discharged", string_of_int ao.ao_static_discharged);
-               ("discharged_fraction", Printf.sprintf "%.3f" ao_fraction);
-               ("verdicts_identical", string_of_bool ao_identical);
-             ] );
-         ( "interproc_discharge",
-           json_obj
-             [
-               ("panic_checks", string_of_int ao.ao_panic_checks);
-               ("panic_discharged", string_of_int ao.ao_panic_discharged);
-               ("discharged_fraction", Printf.sprintf "%.3f" ao_fraction);
-               ("gate", Printf.sprintf "%.2f" interproc_discharge_gate);
-               ("ip_discharged", string_of_int ao.ao_ip_discharged);
-               ( "ip_crosschecked",
-                 string_of_int ao.ao_ip_crosschecked );
-               ( "ip_crosscheck_mismatches",
-                 string_of_int ao.ao_ip_mismatches );
-               ( "distrust_overhead_ratio",
-                 Printf.sprintf "%.3f" ao_ratio );
-               ( "distrust_overhead_gate",
-                 Printf.sprintf "%.2f" analysis_overhead_gate );
-               ("verdicts_identical", string_of_bool ao_identical);
              ] );
          ( "incremental_reverify",
            json_obj
@@ -1418,35 +1264,6 @@ let json () =
     Printf.eprintf
       "FAIL: tracing overhead %.3fx exceeds the %.2fx gate\n" to_ratio
       trace_overhead_gate;
-    exit 1
-  end;
-  if not ao_identical then begin
-    prerr_endline
-      "FAIL: analysis-enabled re-verification fingerprints differ from \
-       no-analysis";
-    exit 1
-  end;
-  if ao_ratio > analysis_overhead_gate then begin
-    Printf.eprintf
-      "FAIL: static-analysis overhead %.3fx exceeds the %.2fx gate\n" ao_ratio
-      analysis_overhead_gate;
-    exit 1
-  end;
-  if
-    ao.ao_panic_checks = 0
-    || float_of_int ao.ao_panic_discharged
-       < interproc_discharge_gate *. float_of_int ao.ao_panic_checks
-  then begin
-    Printf.eprintf
-      "FAIL: only %d/%d panic checks statically discharged (< %.0f%%)\n"
-      ao.ao_panic_discharged ao.ao_panic_checks
-      (100. *. interproc_discharge_gate);
-    exit 1
-  end;
-  if ao.ao_ip_mismatches > 0 then begin
-    Printf.eprintf
-      "FAIL: Distrust refuted %d/%d interprocedural claims\n"
-      ao.ao_ip_mismatches ao.ao_ip_crosschecked;
     exit 1
   end;
   if not inc_identical then begin
@@ -1623,7 +1440,6 @@ let () =
       | "cdclreverify" -> cdcl_reverify ()
       | "certoverhead" -> cert_overhead ()
       | "traceoverhead" -> trace_overhead ()
-      | "analysisoverhead" -> analysis_overhead ()
       | "incremental" -> incremental ()
       | "chaos" -> chaos ()
       | "wireqps" -> wire_qps ()
@@ -1633,7 +1449,7 @@ let () =
       | other ->
           Printf.eprintf
             "unknown target %s (expected \
-             table1|table2|table3|fig12|ablation|reverify|cdclreverify|certoverhead|traceoverhead|analysisoverhead|incremental|chaos|wireqps|obsoverhead|json|micro)\n"
+             table1|table2|table3|fig12|ablation|reverify|cdclreverify|certoverhead|traceoverhead|incremental|chaos|wireqps|obsoverhead|json|micro)\n"
             other;
           exit 2)
     targets

@@ -170,35 +170,6 @@ let with_store store_dir no_store (f : Store.t option -> 'a) : 'a =
   | _ -> f None
 
 (* ------------------------------------------------------------------ *)
-(* Static-analysis flags (shared by verify and batch)                 *)
-(* ------------------------------------------------------------------ *)
-
-let no_analysis_arg =
-  let doc =
-    "Disable the static analysis: the symbolic executor forks and asks \
-     the solver at every branch, discharging nothing statically."
-  in
-  Arg.(value & flag & info [ "no-analysis" ] ~doc)
-
-let distrust_analysis_arg =
-  let doc =
-    "Run the analysis but distrust it: every solver call is still made \
-     and each static claim is cross-checked against the certified \
-     solver (the chaos-soak mode). Mismatches are counted under \
-     analysis.crosscheck_mismatch and the solver's answer wins."
-  in
-  Arg.(value & flag & info [ "distrust-analysis" ] ~doc)
-
-let analysis_of_flags no_analysis distrust =
-  match (no_analysis, distrust) with
-  | true, true ->
-      Printf.eprintf "--no-analysis and --distrust-analysis conflict\n";
-      exit 3
-  | true, false -> Analysis.Off
-  | false, true -> Analysis.Distrust
-  | false, false -> Analysis.Trust
-
-(* ------------------------------------------------------------------ *)
 (* Tracing (shared by verify, batch and chaos)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,11 +229,9 @@ let jobs_arg =
 
 let verify_cmd =
   let run version zone_file qtypes inline no_layers deadline solver_steps
-      max_paths retries jobs no_analysis distrust store_dir no_store fault_seed
-      fault_plan trace =
+      max_paths retries jobs store_dir no_store fault_seed fault_plan trace =
     let cfg = config_of_version version in
     let zone = load_zone zone_file in
-    let analysis = analysis_of_flags no_analysis distrust in
     apply_faults fault_seed fault_plan;
     let mode =
       if inline then Refine.Check.Inline_all else Refine.Check.With_summaries
@@ -275,8 +244,8 @@ let verify_cmd =
         with_store store_dir no_store (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify ~qtypes ~mode
-                  ~check_layers:(not no_layers) ~budget ~retries ~jobs
-                  ~analysis ?store cfg zone))
+                  ~check_layers:(not no_layers) ~budget ~retries ~jobs ?store
+                  cfg zone))
       with e ->
         Printf.eprintf "internal error: %s\n" (Printexc.to_string e);
         exit 3
@@ -308,8 +277,8 @@ let verify_cmd =
     Term.(
       const run $ version_arg $ zone_file_arg $ qtypes_arg $ inline $ no_layers
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ no_analysis_arg $ distrust_analysis_arg $ store_dir_arg
-      $ no_store_arg $ fault_seed_arg $ fault_plan_arg $ trace_arg)
+      $ jobs_arg $ store_dir_arg $ no_store_arg $ fault_seed_arg
+      $ fault_plan_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* batch                                                              *)
@@ -317,8 +286,8 @@ let verify_cmd =
 
 let batch_cmd =
   let run version origin count seed qtypes deadline solver_steps max_paths
-      retries jobs no_analysis distrust store_dir no_store journal resume
-      fault_seed fault_plan trace progress =
+      retries jobs store_dir no_store journal resume fault_seed fault_plan
+      trace progress =
     let cfg = config_of_version version in
     let origin =
       match Name.of_string origin with
@@ -327,7 +296,6 @@ let batch_cmd =
           Printf.eprintf "bad origin %s: %s\n" origin m;
           exit 3
     in
-    let analysis = analysis_of_flags no_analysis distrust in
     apply_faults fault_seed fault_plan;
     let budget =
       Budget.create ?deadline_s:deadline ?solver_steps ?max_paths ()
@@ -376,8 +344,8 @@ let batch_cmd =
         with_store store_dir no_store (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify_batch_run ~qtypes ~count ~seed ~budget
-                  ~retries ~jobs ~analysis ?store ?journal ~resume ?on_start
-                  ~on_item cfg origin))
+                  ~retries ~jobs ?store ?journal ~resume ?on_start ~on_item
+                  cfg origin))
       with
       | Failure m ->
           Printf.eprintf "%s\n" m;
@@ -481,9 +449,8 @@ let batch_cmd =
     Term.(
       const run $ version_arg $ origin_arg $ count_arg $ seed_arg $ qtypes_arg
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ no_analysis_arg $ distrust_analysis_arg $ store_dir_arg
-      $ no_store_arg $ journal_arg $ resume_arg $ fault_seed_arg
-      $ fault_plan_arg $ trace_arg $ progress_arg)
+      $ jobs_arg $ store_dir_arg $ no_store_arg $ journal_arg $ resume_arg
+      $ fault_seed_arg $ fault_plan_arg $ trace_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                              *)

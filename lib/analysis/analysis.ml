@@ -23,33 +23,14 @@
    also refines what the slot must hold, which is what discharges the
    nil checks the frontend re-emits inside the loop body.
 
-   Everything here is consumed three ways: [Lint] (below) reports
-   findings per function; [branch_fact] hands the symbolic executor
-   statically-dead edges so it can skip the solver; the soundness test
-   replays concrete interpreter runs against [check_concrete]. *)
+   Everything here is consumed two ways: [Lint] (below) reports
+   findings per function, and the soundness test replays concrete
+   interpreter runs against [check_concrete]. *)
 
 module Instr = Minir.Instr
 module Ty = Minir.Ty
 module Value = Minir.Value
 module Callgraph = Minir.Callgraph
-
-(* How the symbolic executor treats the analysis:
-   [Off] — never consulted; [Trust] — statically-dead edges are pruned
-   without calling the solver; [Distrust] — every solver call is still
-   made and each static claim is cross-checked against the certified
-   answer (the chaos/soak configuration: degrade, never flip). *)
-type policy = Off | Trust | Distrust
-
-let policy_to_string = function
-  | Off -> "off"
-  | Trust -> "trust"
-  | Distrust -> "distrust"
-
-let policy_of_string = function
-  | "off" -> Some Off
-  | "trust" -> Some Trust
-  | "distrust" -> Some Distrust
-  | _ -> None
 
 let m_functions = Trace.Metrics.counter "analysis.functions"
 
@@ -1195,19 +1176,11 @@ let assume (ctx : fn_ctx) (s : st) (o : Instr.operand) (truth : bool) : state =
 
 type edge_fact = { then_dead : bool; else_dead : bool }
 
-(* Everything the symbolic executor wants at a [Cond_br], precomputed
-   so the per-branch-execution lookup is a single hash-table probe:
-   the edge fact plus whether either successor is a panic block (the
-   executor's [panic_checks] accounting would otherwise re-scan the
-   block list on every branch execution). [bi_interproc] marks facts
-   the interprocedural layer added on top of what the PR 5
-   intraprocedural pass (calls havocked, no environment) could already
-   prove — the distrust cross-check and the bench gate count these. *)
-type branch_info = {
-  bi_fact : edge_fact;
-  bi_guards_panic : bool;
-  bi_interproc : bool;
-}
+(* The edge fact at a [Cond_br]. [bi_interproc] marks facts the
+   interprocedural layer added on top of what the intraprocedural pass
+   (calls havocked, no environment) could already prove; lint's
+   [interproc_stats] counts them. *)
+type branch_info = { bi_fact : edge_fact; bi_interproc : bool }
 
 (* Physical-identity block table: keys are blocks of the one memoized
    program value per version, so [( == )] is the right equality and
@@ -1228,10 +1201,7 @@ type func_facts = {
 
 type summary = {
   sm_facts : (string, func_facts Lazy.t) Hashtbl.t;
-      (* per-function final facts, forced on first query: a
-         summarization-window env only ever executes its own small call
-         cone, so analyzing the rest of the program eagerly for every
-         distinct window would be pure waste *)
+      (* per-function final facts, forced on first query *)
   sm_plain : (string, func_facts) Hashtbl.t;
       (* PR 5 abstraction: havoc at calls, no env — the attribution
          baseline for [bi_interproc] and heuristics calibrated to
@@ -1295,17 +1265,11 @@ let analyze_func ?(lookup = fun _ -> None) ?(fieldinv = fun _ _ -> None)
   (* Edge facts from the converged entry states: an edge is dead when
      its branch assumption empties the state (or the block was never
      reached at all). *)
-  let is_panic l =
-    match List.assoc_opt l f.Instr.blocks with
-    | Some (tb : Instr.block) -> (
-        match tb.Instr.term with Instr.Panic _ -> true | _ -> false)
-    | None -> false
-  in
   let branch = Blocktbl.create 16 in
   List.iter
     (fun (l, (b : Instr.block)) ->
       match b.Instr.term with
-      | Instr.Cond_br (c, l1, l2) ->
+      | Instr.Cond_br (c, _, _) ->
           let fact =
             match Hashtbl.find_opt in_states l with
             | None | Some Bot -> { then_dead = true; else_dead = true }
@@ -1326,12 +1290,7 @@ let analyze_func ?(lookup = fun _ -> None) ?(fieldinv = fun _ _ -> None)
                     || (fact.else_dead && not pbi.bi_fact.else_dead)
                 | None -> fact.then_dead || fact.else_dead)
           in
-          Blocktbl.replace branch b
-            {
-              bi_fact = fact;
-              bi_guards_panic = is_panic l1 || is_panic l2;
-              bi_interproc = interproc;
-            }
+          Blocktbl.replace branch b { bi_fact = fact; bi_interproc = interproc }
       | _ -> ())
     f.Instr.blocks;
   { ff_func = f; ff_ctx = ctx; ff_in = in_states; ff_branch = branch }
@@ -1612,10 +1571,9 @@ let analyze_base (prog : Instr.program) : analyze_base =
       b
 
 (* Relational summaries per (program, filtered-field-invariant digest):
-   every summarization-window env has no field invariants, so they all
-   share one table per program. The persistence hook is part of the key
-   (by identity) so a freshly installed store still sees its loads and
-   saves. *)
+   every env without field invariants shares one table per program.
+   The persistence hook is part of the key (by identity) so a freshly
+   installed store still sees its loads and saves. *)
 let rsums_memo_key :
     ((Instr.program * string * ip_persist option)
     * ((string, rsummary) Hashtbl.t * int * int))
@@ -1856,8 +1814,7 @@ let analyze ?env (prog : Instr.program) : summary =
             | _ -> ())
         prog.Instr.funcs);
   (* Final facts with converged contexts, attributed against plain —
-     computed lazily so an env that only ever executes a small call
-     cone (a summarization window) never pays for the rest. *)
+     computed lazily, so a query about one function pays only for it. *)
   let facts = Hashtbl.create 16 in
   List.iter
     (fun (f : Instr.func) ->
@@ -1882,7 +1839,7 @@ let analyze ?env (prog : Instr.program) : summary =
 (* Domain-local memo keyed on the program's physical identity plus the
    (structural) environment: the compile memo in Engine.Versions
    already guarantees one program value per version per domain, so
-   re-verification never re-analyzes. *)
+   re-linting never re-analyzes. *)
 let memo_key : ((Instr.program * env option) * summary) list ref Domain.DLS.key
     =
   Domain.DLS.new_key (fun () -> ref [])
@@ -1897,8 +1854,6 @@ let summarize ?env (prog : Instr.program) : summary =
   | Some (_, s) -> s
   | None ->
       let s = analyze ?env prog in
-      (* keep the newest half — each engine version accumulates one
-         harness env plus a handful of summarization-window envs *)
       if List.length !memo >= memo_limit then
         memo := List.filteri (fun i _ -> i < memo_limit / 2) !memo;
       memo := ((prog, env), s) :: !memo;
@@ -1912,9 +1867,6 @@ let clear_memo () =
 (* ------------------------------------------------------------------ *)
 (* Query API                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let func_facts (s : summary) (fn : string) : func_facts option =
-  Option.map Lazy.force (Hashtbl.find_opt s.sm_facts fn)
 
 let rsummary_of (s : summary) (fn : string) : rsummary option =
   Hashtbl.find_opt s.sm_rsums fn
@@ -1944,18 +1896,6 @@ let interproc_stats (s : summary) : (string * int) list =
     ("branches", nbranch (fun _ -> true));
     ("interproc_branch_facts", nbranch (fun bi -> bi.bi_interproc));
   ]
-
-(* The executor's lookup: facts for the conditional branch terminating
-   [b]. The block is matched by physical identity — the executor and
-   the analysis walk the same program value. *)
-let branch_info (ff : func_facts) (b : Instr.block) : branch_info option =
-  Blocktbl.find_opt ff.ff_branch b
-
-let branch_fact (s : summary) (fn : string) (b : Instr.block) :
-    edge_fact option =
-  match Hashtbl.find_opt s.sm_facts fn with
-  | None -> None
-  | Some ff -> Option.map (fun bi -> bi.bi_fact) (branch_info (Lazy.force ff) b)
 
 let in_state (s : summary) ~(fn : string) ~(label : Instr.label) :
     state option =

@@ -2,8 +2,7 @@
    with widening over a product domain (intervals × nullness × tribools
    × definite-initialization of non-escaping stack slots).
 
-   Produces per-block entry states and per-branch edge facts that
-   [Symex.Exec] uses to skip statically-proved panic checks, and a
+   Produces per-block entry states and per-branch edge facts, and a
    [Lint] pass that reports findings per function. Input programs are
    assumed well-formed ([Minir.Wellform.check]): in particular, the
    single-static-assignment of registers is what makes the def-map
@@ -13,15 +12,6 @@ module Instr = Minir.Instr
 module Ty = Minir.Ty
 module Value = Minir.Value
 module Callgraph = Minir.Callgraph
-
-(* How the symbolic executor treats analysis facts. [Trust] prunes
-   statically-dead edges without consulting the solver; [Distrust]
-   still makes every solver call and cross-checks each static claim
-   against the certified answer (the chaos/soak configuration). *)
-type policy = Off | Trust | Distrust
-
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
 
 module Interval : sig
   type t = Bot | I of int option * int option (* None = infinite bound *)
@@ -175,22 +165,6 @@ module Fixpoint (D : DOMAIN) : sig
     (Instr.label, D.t) Hashtbl.t
 end
 
-(* Facts about one [Cond_br]: which outgoing edge the abstract state
-   proves infeasible. *)
-type edge_fact = { then_dead : bool; else_dead : bool }
-
-(* Precomputed per-[Cond_br] record: the edge fact plus whether either
-   successor block panics, plus whether the interprocedural layer
-   (summaries / environment) added dead-edge knowledge the plain
-   intraprocedural pass lacked. One hash-table probe on the executor's
-   hottest path. *)
-type branch_info = {
-  bi_fact : edge_fact;
-  bi_guards_panic : bool;
-  bi_interproc : bool;
-}
-
-type func_facts
 type summary
 
 (* Analyze every function: bottom-up relational summaries (persisted
@@ -202,12 +176,9 @@ val analyze : ?env:env -> Instr.program -> summary
 
 (* Domain-local memoized [analyze], keyed on the program's physical
    identity plus the structural env (the version compile memo yields
-   one program value per domain, so re-verification never
-   re-analyzes). *)
+   one program value per domain, so re-linting never re-analyzes). *)
 val summarize : ?env:env -> Instr.program -> summary
 val clear_memo : unit -> unit
-
-val func_facts : summary -> string -> func_facts option
 
 (* The converged summary of one function, if defined. *)
 val rsummary_of : summary -> string -> rsummary option
@@ -218,13 +189,6 @@ val store_traffic : summary -> int * int
 
 (* Aggregate counters for `dnsv lint --json` / CI stats upload. *)
 val interproc_stats : summary -> (string * int) list
-
-(* Fact for the branch terminating [block], matched by physical
-   identity — callers must pass a block of the analyzed program value. *)
-val branch_fact : summary -> string -> Instr.block -> edge_fact option
-
-(* Same lookup, one probe, for callers that cache the [func_facts]. *)
-val branch_info : func_facts -> Instr.block -> branch_info option
 
 (* Entry state of a block; [Some Bot] = proved unreachable, [None] =
    unknown function. *)

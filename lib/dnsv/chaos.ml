@@ -74,14 +74,10 @@ let refuted_cfg = Versions.v1_0
 
 (* A generous deadline, reachable only through injected clock skew, so
    the [Clock_overrun] site has a deadline to overrun. *)
-(* Chaos runs distrust the static analysis: every solver call is still
-   made (so injected-fault firing order matches the fault-free plan) and
-   each static claim is cross-checked against the certified solver —
-   the degrade-never-flip monotone covers the analysis too. *)
 let verify_wl ?store cfg zone =
   let budget = Budget.create ~deadline_s:3600.0 () in
-  Pipeline.verify ~qtypes:[ Rr.MX ] ~check_layers:false ~budget
-    ~analysis:Analysis.Distrust ?store cfg zone
+  Pipeline.verify ~qtypes:[ Rr.MX ] ~check_layers:false ~budget ?store cfg
+    zone
 
 (* The batch workload for the journal kill-and-resume leg. *)
 let batch_origin = Name.of_string_exn "chaos.example"
@@ -89,7 +85,7 @@ let batch_count = 3
 
 let batch_wl ?journal ?resume () =
   Pipeline.verify_batch_run ~qtypes:[ Rr.A ] ~count:batch_count ~seed:7
-    ~analysis:Analysis.Distrust ?journal ?resume proved_cfg batch_origin
+    ?journal ?resume proved_cfg batch_origin
 
 let status_name = function
   | Budget.Proved -> "proved"

@@ -38,14 +38,9 @@ let limits_tag (b : Budget.t) =
     (num b.Budget.max_solver_steps)
     (num b.Budget.max_paths) (num b.Budget.max_fuel)
 
-let analysis_tag = function
-  | Analysis.Off -> "off"
-  | Analysis.Trust -> "trust"
-  | Analysis.Distrust -> "distrust"
-
 (* Domain-local summary-store memo: one store per (version, mode, zone,
-   analysis, persistent store), shared across query types, retries, and
-   repeated [verify] calls — re-verifying an unchanged version reuses
+   persistent store), shared across query types, retries, and repeated
+   [verify] calls — re-verifying an unchanged version reuses
    its module summaries instead of rebuilding them per check. Keying on
    the version string relies on the same invariant as the compile memo
    in [Engine.Versions.compiled]: a version string uniquely identifies
@@ -58,7 +53,6 @@ type store_key = {
   sk_version : string;
   sk_inline : bool;
   sk_zone : Zone.t;
-  sk_analysis : Analysis.policy;
   sk_pstore : Store.t option;
 }
 
@@ -82,28 +76,26 @@ let same_pstore a b =
 
 (* The persistence hook for module summaries: keyed under each
    function's cone fingerprint (an edit invalidates exactly the cone of
-   influence that could change its summary) plus the zone and analysis
-   policy, which both shape what the summarizer sees. If the version
-   cannot compile there is nothing to fingerprint — the hook is simply
-   absent and summaries stay in-memory only. *)
+   influence that could change its summary) plus the zone, which
+   shapes what the summarizer sees. If the version cannot compile there
+   is nothing to fingerprint — the hook is simply absent and summaries
+   stay in-memory only. *)
 let summary_persist_for (pstore : Store.t option) (cfg : Builder.config)
-    (analysis : Analysis.policy) (zone : Zone.t) : Summary.persist option =
+    (zone : Zone.t) : Summary.persist option =
   match pstore with
   | None -> None
   | Some st -> (
       match Versions.compiled cfg with
       | exception _ -> None
       | prog ->
-          let tag =
-            Printf.sprintf "z%s,a%s" (zone_fp zone) (analysis_tag analysis)
-          in
+          let tag = "z" ^ zone_fp zone in
           Some
             (Store.summary_persist st
                ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
                ~tag))
 
 let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
-    (analysis : Analysis.policy) (zone : Zone.t) : Summary.store =
+    (zone : Zone.t) : Summary.store =
   if not (Solver.caching_enabled ()) then Summary.create_store ()
   else begin
     let memo = Domain.DLS.get store_memo_key in
@@ -115,13 +107,12 @@ let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
           k.sk_zone == zone
           && k.sk_inline = inline
           && String.equal k.sk_version version
-          && k.sk_analysis = analysis
           && same_pstore k.sk_pstore pstore)
         !memo
     with
     | Some (_, store) -> store
     | None ->
-        let persist = summary_persist_for pstore cfg analysis zone in
+        let persist = summary_persist_for pstore cfg zone in
         let store = Summary.create_store ?persist () in
         if List.length !memo >= store_memo_limit then memo := [];
         memo :=
@@ -129,7 +120,6 @@ let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
               sk_version = version;
               sk_inline = inline;
               sk_zone = zone;
-              sk_analysis = analysis;
               sk_pstore = pstore;
             },
             store )
@@ -238,28 +228,24 @@ let issues (v : verdict) =
 (* A clean (proved) query-type report can be served from the store: its
    key covers every input that shapes it — the cone fingerprint of the
    engine entry point (any edit that could reach [resolve] invalidates
-   it), the zone, the query type, the checking mode, the analysis
-   policy, the budget limits and the retry policy. Degraded reports are
-   never persisted: a verdict that leaned on an Unknown or stopped
-   short must be re-derived, never replayed. Nothing is served under
-   [Analysis.Distrust] — that mode exists to re-check the static
-   analysis, and serving recorded verdicts would defeat it. *)
+   it), the zone, the query type, the checking mode, the budget limits
+   and the retry policy. Degraded reports are never persisted: a
+   verdict that leaned on an Unknown or stopped short must be
+   re-derived, never replayed. *)
 let report_clean (r : Check.report) =
   r.Check.mismatches = [] && r.Check.panics = [] && r.Check.unknowns = 0
   && r.Check.cert_failures = 0
   && r.Check.inconclusive = None
 
-let report_key ~prog ~zone ~budget ~qtype ~mode ~analysis ~retries ~escalation
-    =
+let report_key ~prog ~zone ~budget ~qtype ~mode ~retries ~escalation =
   Store.derived_key ~prefix:"R"
     ~parts:
       [
-        "report-v2";
+        "report-v3";
         Store.Fingerprint.cone_fp prog "resolve";
         zone_fp zone;
         Rr.rtype_to_string qtype;
         (match mode with Check.Inline_all -> "inline" | _ -> "summ");
-        analysis_tag analysis;
         limits_tag budget;
         Printf.sprintf "r%d,e%d" retries escalation;
       ]
@@ -271,8 +257,6 @@ let report_payload (r : Check.report) (nretries : int) : string =
   Store.Codec.wint b r.Check.spec_paths;
   Store.Codec.wint b r.Check.pairs_checked;
   Store.Codec.wint b r.Check.solver_calls;
-  Store.Codec.wint b r.Check.static_discharged;
-  Store.Codec.wint b r.Check.ip_discharged;
   Store.Codec.wint b r.Check.cert_checks;
   Buffer.add_char b (if r.Check.stateless then '1' else '0');
   Buffer.add_char b (if r.Check.summary_fallback then '1' else '0');
@@ -299,8 +283,6 @@ let report_of_payload ~version ~qtype payload : (Check.report * int) option =
     let spec_paths = C.rint r in
     let pairs_checked = C.rint r in
     let solver_calls = C.rint r in
-    let static_discharged = C.rint r in
-    let ip_discharged = C.rint r in
     let cert_checks = C.rint r in
     let stateless = rbool r in
     let summary_fallback = rbool r in
@@ -320,8 +302,6 @@ let report_of_payload ~version ~qtype payload : (Check.report * int) option =
         spec_paths;
         pairs_checked;
         solver_calls;
-        static_discharged;
-        ip_discharged;
         unknowns = 0;
         cert_checks;
         cert_failures = 0;
@@ -366,8 +346,7 @@ let store_entry_check ~key ~payload =
    recomputed. *)
 let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
     ?(check_layers = true) ?budget ?(retries = 0) ?(escalation = 2)
-    ?(jobs = 1) ?(analysis = Analysis.Trust) ?store (cfg : Builder.config)
-    (zone : Zone.t) : verdict =
+    ?(jobs = 1) ?store (cfg : Builder.config) (zone : Zone.t) : verdict =
   Trace.with_span "verify"
     ~attrs:
       [
@@ -395,24 +374,14 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
   let with_store f =
     match store with
     | None -> f ()
-    | Some st -> (
-        Store.with_solver st @@ fun () ->
-        (* Persist interprocedural summaries too — but only when the
-           version compiles, so there is a program to fingerprint
-           cones against. *)
-        match Versions.compiled cfg with
-        | exception _ -> f ()
-        | prog ->
-            Store.with_analysis st
-              ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
-              f)
+    | Some st -> Store.with_solver st f
   in
   with_store @@ fun () ->
   let layer_reports =
     if not check_layers then []
     else
       match Versions.compiled cfg with
-      | prog -> Layers.check_all ~zone ~budget ?store ~analysis prog
+      | prog -> Layers.check_all ~zone ~budget ?store prog
       | exception e ->
           (* The version failed to compile: one synthetic inconclusive
              layer report carries the reason, engine checks still run
@@ -434,15 +403,14 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
   let check_one b qtype : Check.report * int =
     Trace.with_span "qtype" ~attrs:[ ("qtype", Rr.rtype_to_string qtype) ]
     @@ fun () ->
-    let sumstore = store_for ?pstore:store cfg mode analysis zone in
+    let sumstore = store_for ?pstore:store cfg mode zone in
     let rec go attempt nretries b =
       let r =
         Trace.with_span "attempt"
           ~attrs:[ ("attempt", string_of_int attempt) ]
         @@ fun () ->
         try
-          Check.check_version ~budget:b ~mode ~store:sumstore ~analysis cfg
-            zone ~qtype
+          Check.check_version ~budget:b ~mode ~store:sumstore cfg zone ~qtype
         with e ->
           (* check_version converts its own failures; this catches
              anything escaping before it (e.g. zone encoding). *)
@@ -464,14 +432,14 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
     in
     let rkey =
       match store with
-      | Some st when analysis <> Analysis.Distrust -> (
+      | Some st -> (
           match Versions.compiled cfg with
           | exception _ -> None
           | prog ->
               Some
                 ( st,
-                  report_key ~prog ~zone ~budget:b ~qtype ~mode ~analysis
-                    ~retries ~escalation ))
+                  report_key ~prog ~zone ~budget:b ~qtype ~mode ~retries
+                    ~escalation ))
       | _ -> None
     in
     match rkey with
@@ -538,7 +506,7 @@ type batch_outcome =
     }
 
 let verify_batch ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0) ?budget
-    ?(retries = 0) ?(jobs = 1) ?(analysis = Analysis.Trust) ?store
+    ?(retries = 0) ?(jobs = 1) ?store
     (cfg : Builder.config) (origin : Name.t) : batch_outcome =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let zones = Dns.Zonegen.generate_many ~seed ~count origin in
@@ -550,7 +518,7 @@ let verify_batch ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0) ?budget
      rest of the wave). *)
   let verify_zone (i, zone) =
     let b = if jobs <= 1 then budget else Budget.clone budget in
-    verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ~analysis ?store
+    verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ?store
       cfg zone
   in
   let finish proved inconcl first_reason =
@@ -918,7 +886,7 @@ let outcome_of_items (items : batch_item list) (count : int) :
    fingerprint is derived uniformly from the item transcript, so a
    killed-and-resumed run is byte-identical to an uninterrupted one. *)
 let verify_batch_run ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0)
-    ?budget ?(retries = 0) ?(jobs = 1) ?(analysis = Analysis.Trust) ?store
+    ?budget ?(retries = 0) ?(jobs = 1) ?store
     ?journal ?(resume = false) ?on_start ?on_item (cfg : Builder.config)
     (origin : Name.t) : batch_run =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -969,7 +937,7 @@ let verify_batch_run ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0)
     in
     let verify_zone (i, zone) =
       let b = if jobs <= 1 then budget else Budget.clone budget in
-      verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ~analysis ?store
+      verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ?store
         cfg zone
     in
     let finish_run (outcome : batch_outcome option) =

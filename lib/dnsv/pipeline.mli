@@ -58,12 +58,7 @@ val clear_summary_memo : unit -> unit
 val store_entry_check :
   key:string -> payload:string -> (unit, string) result option
 
-(* [analysis] selects how the symbolic executor uses the static
-   analysis: [Trust] (default) prunes statically-dead branches without
-   solver calls, [Off] disables the consultation, [Distrust] makes all
-   solver calls and cross-checks each static claim (chaos/soak mode).
-
-   [store] threads the persistent verification store through every
+(* [store] threads the persistent verification store through every
    level — solver results, module summaries, layer verdicts, whole
    query-type reports — keyed under content-hash fingerprints so an
    edit invalidates exactly its cone of influence. The store
@@ -79,7 +74,6 @@ val verify :
   ?retries:int ->
   ?escalation:int ->
   ?jobs:int ->
-  ?analysis:Analysis.policy ->
   ?store:Store.t -> Builder.config -> Zone.t -> verdict
 type batch_outcome =
   | All_clean of int
@@ -98,7 +92,6 @@ val verify_batch :
   ?budget:Budget.t ->
   ?retries:int ->
   ?jobs:int ->
-  ?analysis:Analysis.policy ->
   ?store:Store.t -> Builder.config -> Name.t -> batch_outcome
 (* ---------------- Journaled batch runs ---------------- *)
 
@@ -143,7 +136,6 @@ val verify_batch_run :
   ?budget:Budget.t ->
   ?retries:int ->
   ?jobs:int ->
-  ?analysis:Analysis.policy ->
   ?store:Store.t ->
   ?journal:string ->
   ?resume:bool ->

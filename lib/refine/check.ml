@@ -49,9 +49,6 @@ type report = {
   spec_paths : int;
   pairs_checked : int;
   solver_calls : int;
-  static_discharged : int; (* branches pruned by the static analysis *)
-  ip_discharged : int;
-      (* ... of which only the interprocedural layer could justify *)
   unknowns : int; (* solver Unknowns this check leaned on *)
   cert_checks : int; (* verdict certificates validated *)
   cert_failures : int; (* certificates rejected (answers degraded) *)
@@ -101,8 +98,6 @@ let inconclusive_report ?(summary_fallback = false) ?(cert_checks = 0)
     spec_paths = 0;
     pairs_checked = 0;
     solver_calls = 0;
-    static_discharged = 0;
-    ip_discharged = 0;
     unknowns = 0;
     cert_checks;
     cert_failures;
@@ -148,10 +143,8 @@ let qname_cells () =
      per run). [Analysis.field_invariants_filter] re-verifies the
      no-store half against each program before any use.
 
-   This env is sound ONLY for runs entering `resolve` on the real
-   encoded heap; [Summary.summarize_at]'s canonicalized re-runs of
-   intercepted layers pass [Exec.run] their own per-window env built
-   from the canonical arguments — [Exec.run] selects per entry. *)
+   This env is sound ONLY for analyses whose runs enter `resolve` on
+   the real encoded heap. *)
 let engine_env () : Analysis.env =
   let itv lo hi =
     Analysis.AInt (Analysis.Interval.I (Some lo, Some hi))
@@ -187,8 +180,7 @@ type harness = {
   store : Summary.store;
 }
 
-let prepare ?store ?budget ?(analysis = Analysis.Trust)
-    ?(env = engine_env ()) (prog : Minir.Instr.program) (enc : Encode.t)
+let prepare ?store ?budget (prog : Minir.Instr.program) (enc : Encode.t)
     (mode : mode) : harness =
   let frozen_below = enc.Encode.memory.Value.next_block in
   let store =
@@ -204,7 +196,7 @@ let prepare ?store ?budget ?(analysis = Analysis.Trust)
             else Some (fn, Summary.intercept_for ~frozen_below store fn))
           Engine.Builder.summarized_layers
   in
-  let exec_ctx = Exec.create ?budget ~intercepts ~analysis ~env prog in
+  let exec_ctx = Exec.create ?budget ~intercepts prog in
   let mem0 = Sval.memory_of_concrete enc.Encode.memory in
   let mem0, resp_ptr =
     Sval.alloc mem0
@@ -493,8 +485,8 @@ let replay_spec (zone : Zone.t) (q : Message.query) : string =
    (Budget.Exhausted, Summary.Summary_failed, …) on failure; the
    [check_version] wrapper below converts those into verdicts. *)
 let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
-    ~(summary_fallback : bool) ?store ?(analysis = Analysis.Trust)
-    (cfg : Engine.Builder.config) (zone : Zone.t) ~(qtype : Rr.rtype) : report =
+    ~(summary_fallback : bool) ?store (cfg : Engine.Builder.config)
+    (zone : Zone.t) ~(qtype : Rr.rtype) : report =
   Trace.with_span "check"
     ~attrs:
       [
@@ -512,7 +504,7 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
   let prog = Engine.Versions.compiled cfg in
   let tree = Dnstree.Tree.build zone in
   let enc = Encode.encode tree in
-  let h = prepare ?store ~budget ~analysis prog enc mode in
+  let h = prepare ?store ~budget prog enc mode in
   let engine_results = run_engine h enc ~qtype in
   let spec_paths, spec_solver_calls =
     Specsym.paths zone enc.Encode.interner.Layout.coder ~qtype
@@ -606,8 +598,6 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
     spec_paths = List.length spec_paths;
     pairs_checked = !pairs;
     solver_calls = h.exec_ctx.Exec.solver_calls + spec_solver_calls;
-    static_discharged = h.exec_ctx.Exec.static_discharged;
-    ip_discharged = h.exec_ctx.Exec.ip_discharged;
     (* Global since reset above: covers Unknown-as-feasible branches in
        the executor *and* Unknown-validity entailments in check_eq. *)
     unknowns = (Solver.stats ()).Solver.unknowns;
@@ -662,15 +652,15 @@ let reason_of_check_exn = function
    budget — the summaries are an optimization, never a prerequisite for
    a verdict. *)
 let check_version ?budget ?(mode = With_summaries) ?(fallback = true) ?store
-    ?(analysis = Analysis.Trust) (cfg : Engine.Builder.config) (zone : Zone.t)
-    ~(qtype : Rr.rtype) : report =
+    (cfg : Engine.Builder.config) (zone : Zone.t) ~(qtype : Rr.rtype) : report
+    =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let version = cfg.Engine.Builder.version in
   let t0 = Unix.gettimeofday () in
   let attempt ~budget ~mode ~summary_fallback =
     match
-      check_version_attempt ~budget ~mode ~summary_fallback ?store ~analysis
-        cfg zone ~qtype
+      check_version_attempt ~budget ~mode ~summary_fallback ?store cfg zone
+        ~qtype
     with
     | r -> Ok r
     | exception e ->

@@ -42,8 +42,6 @@ type report = {
   spec_paths : int;
   pairs_checked : int;
   solver_calls : int;
-  static_discharged : int; (* branches pruned by the static analysis *)
-  ip_discharged : int; (* ... justified only by the interprocedural layer *)
   unknowns : int; (* solver Unknowns this check leaned on *)
   cert_checks : int; (* verdict certificates validated *)
   cert_failures : int; (* certificates rejected (answers degraded) *)
@@ -80,9 +78,8 @@ val qname_cells : unit -> Sval.scell
 (* The analysis environment every harness calling the compiled engine
    provides for runs entering `resolve`: entry-argument facts and
    Layout-capacity field invariants of the encoded tree (re-verified
-   against each program by the analysis before use). Runs entering
-   anything else fall back to the env-free analysis or, for the
-   summarizer's canonicalized windows, a per-window env. *)
+   against each program by the analysis before use). Lint analyzes
+   the engine under it. *)
 val engine_env : unit -> Analysis.env
 type harness = {
   exec_ctx : Exec.ctx;
@@ -94,8 +91,6 @@ type harness = {
 val prepare :
   ?store:Summary.store ->
   ?budget:Budget.t ->
-  ?analysis:Analysis.policy ->
-  ?env:Analysis.env ->
   Minir.Instr.program -> Encode.t -> mode -> harness
 val run_engine : harness -> Encode.t -> qtype:Rr.rtype -> Exec.result
 type slot = {
@@ -151,7 +146,6 @@ val check_version_attempt :
   mode:mode ->
   summary_fallback:bool ->
   ?store:Summary.store ->
-  ?analysis:Analysis.policy ->
   Engine.Builder.config -> Zone.t -> qtype:Rr.rtype -> report
 val reason_of_check_exn : exn -> Budget.reason
 
@@ -164,6 +158,5 @@ val check_version :
   ?mode:mode ->
   ?fallback:bool ->
   ?store:Summary.store ->
-  ?analysis:Analysis.policy ->
   Engine.Builder.config -> Zone.t -> qtype:Rr.rtype -> report
 val pp_report : Format.formatter -> report -> unit

@@ -592,8 +592,7 @@ let store_entry_check ~key ~payload =
 let h_layer_paths = Trace.Metrics.histogram "layer.paths"
 
 let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
-    ?(analysis = Analysis.Off) (prog : Minir.Instr.program) (layer : string) :
-    layer_report =
+    (prog : Minir.Instr.program) (layer : string) : layer_report =
   Trace.with_span "layer" ~attrs:[ ("layer", layer) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -646,14 +645,7 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
     in
     let enc = Dnstree.Encode.encode (Dnstree.Tree.build zone) in
     let mem, args, pc = layer_setup prog (Some enc) layer in
-    (* The analysis oracle applies to the engine-code side only; the
-       spec side is the trusted reference and keeps its solver-only
-       path, so a static-analysis bug cannot cancel out across the
-       comparison. No env: this harness enters [layer] directly with
-       fresh symbolic cells (unconstrained lengths, raw name bytes), so
-       neither the engine entry facts nor the encoded-tree field
-       invariants hold — only the env-free analysis is sound here. *)
-    let code_ctx = Exec.create ~budget ~analysis prog in
+    let code_ctx = Exec.create ~budget prog in
     let code_paths = Exec.run code_ctx ~memory:mem ~pc ~fn:layer ~args in
     let spec_ctx = Exec.create ~budget prog in
     let spec_paths = spec spec_ctx { Exec.pc; mem } args in
@@ -700,8 +692,6 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
 
 (* Verify every manual layer of an engine version. Layer faults are
    isolated per layer by [check_layer]. *)
-let check_all ?zone ?budget ?store ?analysis (prog : Minir.Instr.program) :
+let check_all ?zone ?budget ?store (prog : Minir.Instr.program) :
     layer_report list =
-  List.map
-    (fun (fn, _) -> check_layer ?zone ?budget ?store ?analysis prog fn)
-    specs
+  List.map (fun (fn, _) -> check_layer ?zone ?budget ?store prog fn) specs

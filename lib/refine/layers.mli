@@ -73,18 +73,13 @@ val store_entry_check :
 (* [store] serves a clean layer verdict persisted under the layer's
    cone fingerprint (plus zone and budget-limits tags) and persists
    fresh clean verdicts; degraded verdicts are always re-derived. *)
-(* [analysis] applies the static-analysis oracle (with the engine env)
-   to the engine-code side of the comparison only; the spec side stays
-   solver-only so an analysis bug cannot cancel out. *)
 val check_layer :
   ?zone:Spec.Fixtures.Zone.t ->
   ?budget:Budget.t ->
   ?store:Store.t ->
-  ?analysis:Analysis.policy ->
   Minir.Instr.program -> string -> layer_report
 val check_all :
   ?zone:Spec.Fixtures.Zone.t ->
   ?budget:Budget.t ->
   ?store:Store.t ->
-  ?analysis:Analysis.policy ->
   Minir.Instr.program -> layer_report list

@@ -373,7 +373,7 @@ let tree_of_lia_proof (atoms : Linear.atom array) (provs : Term.t array)
    canonical key, so re-anchoring works on any hit). A [Cache_corrupt]
    fault poisons the table entry itself on a hit: the corrupted answer
    keeps being replayed until certificate validation rejects it. *)
-let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
+let lia_check_cached_atoms (atoms : (Linear.atom * Term.t) list) :
     Lia.result * Proof.tree option =
   let keyed =
     List.map (fun ((a, _) as p) -> (Linear.key_of_atom a, p)) atoms
@@ -463,6 +463,25 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
             ;
             (r, anchored))
   end
+
+(* A disequality between identical linear forms (x+y ≠ y+x) is false,
+   but no certificate can say so: the checker splits a disequality only
+   when its difference is nonzero. Decide the other atoms instead — a
+   refutation of a subset of the facts certifies the whole conjunction.
+   Otherwise the answer is still Unsat, without a certificate, which the
+   gatekeeper degrades to Unknown. *)
+let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
+    Lia.result * Proof.tree option =
+  let trivially_false = function
+    | Linear.Neq_zero lin, _ -> Linear.const_value lin = Some 0
+    | _ -> false
+  in
+  match List.partition trivially_false atoms with
+  | [], _ -> lia_check_cached_atoms atoms
+  | _ :: _, rest -> (
+      match lia_check_cached_atoms rest with
+      | (Lia.Unsat, Some _) as r -> r
+      | _ -> (Lia.Unsat, None))
 
 (* Contradictory boolean literals? *)
 let contradictory_bools bools =
@@ -1036,12 +1055,25 @@ module Incremental = struct
   let depth (s : t) = List.length s.frames
   let terms (s : t) = List.concat_map (fun f -> f.terms) s.frames
 
-  let mark_unsat (s : t) cert =
-    match s.frames with
-    | [] -> ()
-    | f :: _ ->
-        f.unsat <- true;
-        f.unsat_cert <- cert
+  (* Answer Unsat for the whole stack under [cert], and record the
+     refutation on the top frame only once the certificate has checked
+     out. A certificate that validated stays valid under any extension
+     (its facts remain asserted), so the short-circuit below only ever
+     replays a proof that passed before. An Unsat that cannot be
+     justified degrades to Unknown here, as in a monolithic check, and
+     leaves no mark: extensions are decided afresh, so a later literal
+     that refutes the stack on its own (one that folds to false, say)
+     is still answered Unsat. *)
+  let refute (s : t) cert : result =
+    match validate (terms s) (Unsat, cert) with
+    | Unsat ->
+        (match s.frames with
+        | [] -> ()
+        | f :: _ ->
+            f.unsat <- true;
+            f.unsat_cert <- cert);
+        Unsat
+    | r -> r
 
   let solve (s : t) : result =
     let r =
@@ -1050,10 +1082,10 @@ module Incremental = struct
         timed h_check_seconds @@ fun () ->
         match List.find_opt (fun f -> f.unsat) s.frames with
         | Some f ->
-            (* A refuted prefix stays refuted under any extension — but
-               the stored certificate is re-validated against the full
-               current stack, so a poisoned short-circuit cannot outlive
-               one validation. *)
+            (* A refuted prefix stays refuted under any extension. Its
+               stored certificate already validated once (see [refute]);
+               it is re-validated against the full current stack, like
+               every answer the solver hands out. *)
             M.incr c_incremental_checks;
             validate (terms s) (Unsat, f.unsat_cert)
         | None ->
@@ -1068,22 +1100,15 @@ module Incremental = struct
               M.incr c_fast_path;
               let atoms = List.concat_map (fun f -> f.atoms) s.frames in
               let bools = List.concat_map (fun f -> f.bools) s.frames in
-              if contradictory_bools bools then begin
-                let cert = Some (bool_contradiction_cert bools) in
-                mark_unsat s cert;
-                validate (terms s) (Unsat, cert)
-              end
+              if contradictory_bools bools then
+                refute s (Some (bool_contradiction_cert bools))
               else
                 match lia_check_cached atoms with
                 | Lia.Sat m, _ ->
                     let model = model_of_lia_model m bools in
                     validate (terms s) (Sat model, Some (Proof.Model_witness model))
                 | Lia.Unsat, tree ->
-                    let cert =
-                      Option.map (fun t -> Proof.Unsat_witness t) tree
-                    in
-                    mark_unsat s cert;
-                    validate (terms s) (Unsat, cert)
+                    refute s (Option.map (fun t -> Proof.Unsat_witness t) tree)
                 | Lia.Unknown, _ -> Unknown
             end
     in

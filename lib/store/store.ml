@@ -401,8 +401,8 @@ let solver_key (ts : Term.t list) : string =
 
 (* Summary entries: cone fingerprint of the summarized function (any
    edit in its call cone invalidates) + a digest of the workload tag
-   (zone fingerprint, analysis policy — both shape summaries) and the
-   canonical call-shape key. *)
+   (the zone fingerprint, which shapes summaries) and the canonical
+   call-shape key. *)
 let summary_key ~cone ~tag ~shape : string =
   "M|" ^ cone ^ "|" ^ md5 (tag ^ "\x00" ^ shape)
 
@@ -483,7 +483,7 @@ let with_solver st f =
 
 (* [cone_of fn] must give the cone fingerprint of [fn] in the program
    being verified; [tag] names everything else a summary depends on
-   (zone fingerprint, analysis policy). *)
+   (the zone fingerprint). *)
 let summary_persist st ~cone_of ~tag : Summary.persist =
   let sp_load ~fn ~key =
     let skey = summary_key ~cone:(cone_of fn) ~tag ~shape:key in

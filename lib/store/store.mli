@@ -71,8 +71,7 @@ val with_solver : t -> (unit -> 'a) -> 'a
 
 (* The Symex.Summary persistence hook. [cone_of fn] must return the
    cone fingerprint of [fn] in the program under verification; [tag]
-   names everything else a summary depends on (zone fingerprint,
-   analysis policy). *)
+   names everything else a summary depends on (the zone fingerprint). *)
 val summary_persist :
   t -> cone_of:(string -> string) -> tag:string -> Symex.Summary.persist
 

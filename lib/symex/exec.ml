@@ -31,41 +31,6 @@ type ctx = {
       (* assertion stack mirroring the current path condition: branch
          feasibility extends the parent path's analyzed solver state by
          one literal instead of re-translating the whole conjunction *)
-  analysis : Analysis.policy;
-      (* whether branch queries consult the static analysis first *)
-  env : Analysis.env option;
-      (* harness facts (roots/entry args/field invariants) forwarded to
-         [Analysis.summarize] — None analyzes for arbitrary entries.
-         Sound ONLY for runs entering one of its [env_roots]: the
-         harness vouches for the entry facts and the heap invariants
-         of those entries alone. A run entering any other function
-         falls back to the env-free analysis, unless the caller of
-         [run] supplies its own vouched-for env (the summarizer's
-         canonicalized window re-runs do). *)
-  mutable active_env : Analysis.env option;
-      (* the env of the innermost live [run]; selects the fact tables
-         the branch oracle consults *)
-  mutable facts : Analysis.summary option; (* computed on first branch *)
-  mutable fn_facts : (Instr.func * Analysis.func_facts option) option;
-      (* one-entry cache keyed by physical function identity: branch
-         lookups below are per-branch-execution, so the per-function
-         name hash must not be paid on every conditional *)
-  br_cache : (Instr.block * Analysis.branch_info option) option array;
-  mutable br_cache_next : int;
-      (* tiny round-robin branch-info cache (physical identity): the
-         executor spends most branch executions cycling through the
-         few conditionals of the current loop, and even the bounded
-         structural hash of a block is too expensive to pay per
-         iteration *)
-  mutable static_discharged : int; (* branches pruned without the solver *)
-  mutable panic_checks : int; (* symbolic branches guarding a Panic block *)
-  mutable panic_discharged : int; (* ... of which statically pruned *)
-  mutable crosscheck_mismatches : int; (* Distrust: solver disagreed *)
-  mutable ip_discharged : int;
-      (* ... of [static_discharged], prunes only the interprocedural
-         layer (summaries / env) could justify *)
-  mutable ip_crosschecked : int; (* Distrust: interprocedural claims checked *)
-  mutable ip_crosscheck_mismatches : int; (* ... of which refuted *)
 }
 
 and intercept = ctx -> path -> Sval.sval list -> result
@@ -74,19 +39,7 @@ exception Budget_exceeded of string
 
 let default_max_steps = 5_000_000
 
-let m_static_discharged = Trace.Metrics.counter "analysis.static_discharged"
-let m_panic_checks = Trace.Metrics.counter "analysis.panic_checks"
-let m_panic_discharged = Trace.Metrics.counter "analysis.panic_discharged"
-let m_crosscheck_pass = Trace.Metrics.counter "analysis.crosscheck_pass"
-let m_crosscheck_mismatch = Trace.Metrics.counter "analysis.crosscheck_mismatch"
-let m_ip_discharged = Trace.Metrics.counter "analysis.ip_discharged"
-let m_ip_crosscheck = Trace.Metrics.counter "analysis.ip_crosscheck"
-
-let m_ip_crosscheck_mismatch =
-  Trace.Metrics.counter "analysis.ip_crosscheck_mismatch"
-
-let create ?(max_steps = default_max_steps) ?budget ?(intercepts = [])
-    ?(analysis = Analysis.Off) ?env prog =
+let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) prog =
   {
     prog;
     intercepts;
@@ -97,20 +50,6 @@ let create ?(max_steps = default_max_steps) ?budget ?(intercepts = [])
     solver_calls = 0;
     unknowns = 0;
     incr = Solver.Incremental.create ();
-    analysis;
-    env;
-    active_env = env;
-    facts = None;
-    fn_facts = None;
-    br_cache = Array.make 8 None;
-    br_cache_next = 0;
-    static_discharged = 0;
-    panic_checks = 0;
-    panic_discharged = 0;
-    crosscheck_mismatches = 0;
-    ip_discharged = 0;
-    ip_crosschecked = 0;
-    ip_crosscheck_mismatches = 0;
   }
 
 let tick ctx =
@@ -187,177 +126,6 @@ let fork_index ctx (path : path) (t : Term.t) ~(cap : int)
       if feasible ctx pc_oob then
         results := !results @ out_of_range { path with pc = pc_oob };
       !results
-
-(* ------------------------------------------------------------------ *)
-(* Static-analysis assisted branching                                 *)
-(* ------------------------------------------------------------------ *)
-
-let facts_for ctx =
-  match ctx.facts with
-  | Some s -> s
-  | None ->
-      let s = Analysis.summarize ?env:ctx.active_env ctx.prog in
-      ctx.facts <- Some s;
-      s
-
-(* Switch the branch oracle to the fact tables of [e], flushing the
-   physical-identity caches (both analyses walk the same program value,
-   so a stale entry would silently serve the other env's facts). *)
-let set_active_env ctx (e : Analysis.env option) =
-  if not (ctx.active_env == e) then begin
-    ctx.active_env <- e;
-    ctx.facts <- None;
-    ctx.fn_facts <- None;
-    Array.fill ctx.br_cache 0 (Array.length ctx.br_cache) None;
-    ctx.br_cache_next <- 0
-  end
-
-(* The env whose soundness contract covers a run entering [fn]: the
-   harness env if [fn] is one of its declared roots, the env-free
-   analysis otherwise — the harness vouches for nothing about entries
-   it never declared. *)
-let env_for_entry ctx (fn : string) : Analysis.env option =
-  match ctx.env with
-  | Some e when List.mem fn e.Analysis.env_roots -> ctx.env
-  | _ -> None
-
-(* Per-function facts behind a one-entry physical-identity cache: the
-   executor stays inside one function for long runs of branches, and
-   the hash of the function name is too expensive to pay per
-   conditional. *)
-let facts_for_fn ctx (f : Instr.func) =
-  match ctx.fn_facts with
-  | Some (f', ff) when f' == f -> ff
-  | _ ->
-      let ff = Analysis.func_facts (facts_for ctx) f.Instr.fn_name in
-      ctx.fn_facts <- Some (f, ff);
-      ff
-
-(* Branch info for [b], via the round-robin cache: blocks are unique
-   across functions, so entries never need invalidation. *)
-let branch_info_for ctx (f : Instr.func) (b : Instr.block) =
-  let cache = ctx.br_cache in
-  let n = Array.length cache in
-  let rec scan i =
-    if i >= n then begin
-      let info =
-        match facts_for_fn ctx f with
-        | None -> None
-        | Some ff -> Analysis.branch_info ff b
-      in
-      cache.(ctx.br_cache_next) <- Some (b, info);
-      ctx.br_cache_next <- (ctx.br_cache_next + 1) mod n;
-      info
-    end
-    else
-      match cache.(i) with
-      | Some (b', info) when b' == b -> info
-      | _ -> scan (i + 1)
-  in
-  scan 0
-
-(* Like [fork_bool], but first consults the abstract interpretation's
-   edge facts for the conditional terminating [b] (matched by physical
-   block identity — executor and analysis walk the same program value).
-   The consultation happens *before* the condition term is even
-   inspected: a statically-dead edge is skipped whether the term would
-   have constant-folded or gone to the solver, and every panic-guard
-   branch execution is counted against [panic_checks].
-
-   Under [Trust], a branch with exactly one statically-dead edge takes
-   the surviving edge without evaluating the condition, with the path
-   condition left unchanged — byte-for-byte the same path [fork_bool]
-   produces when it rules the same side out (constant fold or solver),
-   so verdict fingerprints are preserved. Under [Distrust] the
-   condition is resolved exactly as with the analysis off (constant
-   folds stay free, symbolic terms make both solver calls) and each
-   static claim is checked against that answer: a mismatch is counted
-   and the executor's own answer wins (degrade, never flip). *)
-let fork_branch ctx (path : path) (f : Instr.func) (b : Instr.block)
-    (t : Term.t) ~(then_ : path -> 'a list) ~(else_ : path -> 'a list) :
-    'a list =
-  if ctx.analysis = Analysis.Off then fork_bool ctx path t ~then_ ~else_
-  else begin
-    let info = branch_info_for ctx f b in
-    let guards_panic =
-      match info with Some i -> i.Analysis.bi_guards_panic | None -> false
-    in
-    if guards_panic then begin
-      ctx.panic_checks <- ctx.panic_checks + 1;
-      Trace.Metrics.incr m_panic_checks
-    end;
-    let claim_then_dead, claim_else_dead =
-      match info with
-      | Some { Analysis.bi_fact = { Analysis.then_dead; else_dead }; _ } ->
-          (then_dead, else_dead)
-      | None -> (false, false)
-    in
-    let interproc =
-      match info with Some i -> i.Analysis.bi_interproc | None -> false
-    in
-    let crosscheck ~sat_t ~sat_n =
-      (* a dead claim is refuted by that side being (found) feasible *)
-      if claim_then_dead || claim_else_dead then begin
-        if interproc then begin
-          ctx.ip_crosschecked <- ctx.ip_crosschecked + 1;
-          Trace.Metrics.incr m_ip_crosscheck
-        end;
-        let ok =
-          ((not claim_then_dead) || not sat_t)
-          && ((not claim_else_dead) || not sat_n)
-        in
-        if ok then Trace.Metrics.incr m_crosscheck_pass
-        else begin
-          ctx.crosscheck_mismatches <- ctx.crosscheck_mismatches + 1;
-          Trace.Metrics.incr m_crosscheck_mismatch;
-          Trace.event ~det:false "analysis.crosscheck_mismatch"
-            ~attrs:[ ("fn", f.Instr.fn_name) ];
-          if interproc then begin
-            ctx.ip_crosscheck_mismatches <- ctx.ip_crosscheck_mismatches + 1;
-            Trace.Metrics.incr m_ip_crosscheck_mismatch
-          end
-        end
-      end
-    in
-    match ctx.analysis with
-    | Analysis.Trust when claim_then_dead <> claim_else_dead ->
-        ctx.static_discharged <- ctx.static_discharged + 1;
-        Trace.Metrics.incr m_static_discharged;
-        if interproc then begin
-          ctx.ip_discharged <- ctx.ip_discharged + 1;
-          Trace.Metrics.incr m_ip_discharged
-        end;
-        if guards_panic then begin
-          ctx.panic_discharged <- ctx.panic_discharged + 1;
-          Trace.Metrics.incr m_panic_discharged;
-          Trace.event ~det:true "analysis.panic_discharged"
-            ~attrs:[ ("fn", f.Instr.fn_name) ]
-        end;
-        if claim_then_dead then else_ path else then_ path
-    | Analysis.Trust | Analysis.Off ->
-        (* no usable fact (or both edges claimed dead, which a sound
-           analysis only produces on an unsat path — let the executor
-           decide) *)
-        fork_bool ctx path t ~then_ ~else_
-    | Analysis.Distrust -> (
-        match t with
-        | Term.True | Term.False ->
-            let truth = t = Term.True in
-            crosscheck ~sat_t:truth ~sat_n:(not truth);
-            if truth then then_ path else else_ path
-        | t -> (
-            let pc_t = t :: path.pc and pc_n = Term.not_ t :: path.pc in
-            let sat_t = feasible ctx pc_t in
-            let sat_n = feasible ctx pc_n in
-            crosscheck ~sat_t ~sat_n;
-            match (sat_t, sat_n) with
-            | true, false -> then_ path
-            | false, true -> else_ path
-            | true, true ->
-                charge_fork ctx;
-                then_ { path with pc = pc_t } @ else_ { path with pc = pc_n }
-            | false, false -> []))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Operand and operator evaluation                                    *)
@@ -491,7 +259,7 @@ and exec_block ctx path f regs (b : Instr.block) : result =
       | Instr.Br l -> exec_block ctx path f regs (Instr.find_block f l)
       | Instr.Cond_br (c, l1, l2) ->
           let t = as_bool_term (operand_value regs c) in
-          fork_branch ctx path f b t
+          fork_bool ctx path t
             ~then_:(fun path -> exec_block ctx path f regs (Instr.find_block f l1))
             ~else_:(fun path -> exec_block ctx path f regs (Instr.find_block f l2))
       | Instr.Ret None -> [ (path, Returned None) ]
@@ -582,26 +350,12 @@ and eval_rvalue ctx path regs (rv : Instr.rvalue)
 (* Top-level entry: run [fn] on [args] from [memory] under the initial
    path condition [pc]. The ctx's budget also governs every solver call
    made for branch feasibility while the run is in progress. *)
-let run ?env_override (ctx : ctx) ~(memory : Sval.memory)
-    ~(pc : Term.t list) ~(fn : string) ~(args : Sval.sval list) : result =
+let run (ctx : ctx) ~(memory : Sval.memory) ~(pc : Term.t list) ~(fn : string)
+    ~(args : Sval.sval list) : result =
   Trace.with_span "exec" ~attrs:[ ("fn", fn) ] @@ fun () ->
-  (* Select the env whose soundness contract covers this entry — the
-     caller's own vouched-for env if given (a summarization window),
-     the harness env for its declared roots, the env-free analysis
-     otherwise — and restore the caller's choice on the way out: the
-     summarizer nests [run]s (canonicalized window re-runs) inside a
-     harness run. *)
-  let outer = ctx.active_env in
-  set_active_env ctx
-    (match env_override with
-    | Some e -> Some e
-    | None -> env_for_entry ctx fn);
-  Fun.protect
-    ~finally:(fun () -> set_active_env ctx outer)
-    (fun () ->
-      let r =
-        Solver.with_budget ctx.budget (fun () ->
-            exec_call ctx { pc; mem = memory } fn args)
-      in
-      Trace.add_attr "paths" (string_of_int (List.length r));
-      r)
+  let r =
+    Solver.with_budget ctx.budget (fun () ->
+        exec_call ctx { pc; mem = memory } fn args)
+  in
+  Trace.add_attr "paths" (string_of_int (List.length r));
+  r

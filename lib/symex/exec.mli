@@ -27,27 +27,6 @@ type ctx = {
   mutable unknowns : int;
   incr : Solver.Incremental.t;
       (* assertion stack mirroring the current path condition *)
-  analysis : Analysis.policy;
-      (* whether branch queries consult the static analysis first *)
-  env : Analysis.env option;
-      (* harness facts forwarded to [Analysis.summarize]; sound only
-         for runs entering one of its [env_roots] — other entries fall
-         back to the env-free analysis or the [run] caller's override *)
-  mutable active_env : Analysis.env option;
-      (* env of the innermost live [run] *)
-  mutable facts : Analysis.summary option;
-  mutable fn_facts : (Instr.func * Analysis.func_facts option) option;
-      (* one-entry per-function lookup cache (physical identity) *)
-  br_cache : (Instr.block * Analysis.branch_info option) option array;
-  mutable br_cache_next : int;
-      (* round-robin branch-info cache (physical identity) *)
-  mutable static_discharged : int; (* branches pruned without the solver *)
-  mutable panic_checks : int; (* symbolic branches guarding a Panic block *)
-  mutable panic_discharged : int; (* ... of which statically pruned *)
-  mutable crosscheck_mismatches : int; (* Distrust: solver disagreed *)
-  mutable ip_discharged : int; (* prunes only the interproc layer justifies *)
-  mutable ip_crosschecked : int; (* Distrust: interprocedural claims checked *)
-  mutable ip_crosscheck_mismatches : int; (* ... of which refuted *)
 }
 and intercept = ctx -> path -> Sval.sval list -> result
 exception Budget_exceeded of string
@@ -55,8 +34,7 @@ val default_max_steps : int
 val create :
   ?max_steps:int ->
   ?budget:Budget.t ->
-  ?intercepts:(string * intercept) list ->
-  ?analysis:Analysis.policy -> ?env:Analysis.env -> Instr.program -> ctx
+  ?intercepts:(string * intercept) list -> Instr.program -> ctx
 val tick : ctx -> unit
 val charge_fork : ctx -> unit
 val feasible : ctx -> Term.t list -> bool
@@ -71,14 +49,6 @@ val fork_index :
   cap:int ->
   k:(path -> int -> 'a list) -> out_of_range:(path -> 'a list) -> 'a list
 
-(* [fork_bool] that first consults the static analysis' edge facts for
-   the conditional terminating the given block, per the ctx's policy. *)
-val fork_branch :
-  ctx ->
-  path ->
-  Instr.func ->
-  Instr.block ->
-  Term.t -> then_:(path -> 'a list) -> else_:(path -> 'a list) -> 'a list
 module Regs :
   sig
     type key = String.t
@@ -156,13 +126,7 @@ val eval_rvalue :
   path ->
   Sval.sval Regs.t ->
   Instr.rvalue -> (path -> Sval.sval -> result) -> result
-(* [env_override] substitutes the caller's own vouched-for env for the
-   duration of this run (the summarizer passes a per-window env built
-   from its canonicalized arguments); without it, [ctx.env] applies to
-   runs entering one of its roots and the env-free analysis to any
-   other entry. *)
 val run :
-  ?env_override:Analysis.env ->
   ctx ->
   memory:Sval.memory ->
   pc:Term.t list -> fn:string -> args:Sval.sval list -> result

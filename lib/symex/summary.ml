@@ -195,52 +195,6 @@ let diff_memory (m0 : Sval.memory) (mf : Sval.memory) :
 (* Summarization                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The env a summarization window vouches for: [fn] is its only entry,
-   and canonicalization keeps pointer arguments concrete — each is a
-   definite address or a definite null for the whole window — while
-   scalars become fresh unconstrained symbols (no fact) and the
-   scrubbed heap admits no field invariants. Interned per nullness
-   pattern so repeated windows hand [Analysis.summarize]'s memo a
-   physically stable key. *)
-let window_env_memo : (string, Analysis.env) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let window_env (fn : string) (canon_args : Sval.sval list) : Analysis.env =
-  let pattern =
-    String.concat ""
-      (List.map
-         (function
-           | Sval.SPtr _ -> "p"
-           | Sval.SNull -> "0"
-           | _ -> "_")
-         canon_args)
-  in
-  let memo = Domain.DLS.get window_env_memo in
-  let k = fn ^ "|" ^ pattern in
-  match Hashtbl.find_opt memo k with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          Analysis.env_roots = [ fn ];
-          env_entry =
-            [
-              ( fn,
-                List.mapi (fun i a -> (i, a)) canon_args
-                |> List.filter_map (fun (i, a) ->
-                       match a with
-                       | Sval.SPtr _ ->
-                           Some (i, Analysis.APtr Analysis.Nullness.NNot)
-                       | Sval.SNull ->
-                           Some (i, Analysis.APtr Analysis.Nullness.NNull)
-                       | _ -> None) );
-            ];
-          env_fields = [];
-        }
-      in
-      Hashtbl.replace memo k e;
-      e
-
 (* Summarize [fn] as called with [args] in [mem]: canonicalize the
    symbolic inputs, run full-path symbolic execution from a true path
    condition, and collect one case per path. Returns the summary plus
@@ -276,7 +230,6 @@ let summarize_at (ctx : Exec.ctx) ~(frozen_below : int) ~(mem : Sval.memory)
       mem reach
   in
   let key = Buffer.contents st.buf in
-  let window_env = window_env fn canon_args in
   (* The callee must execute its own body here, not its own summary. *)
   let saved = ctx.Exec.intercepts in
   ctx.Exec.intercepts <- List.remove_assoc fn saved;
@@ -289,8 +242,7 @@ let summarize_at (ctx : Exec.ctx) ~(frozen_below : int) ~(mem : Sval.memory)
            failure, not a whole-check failure: the checker can still
            fall back to inlining this layer. *)
         try
-          Exec.run ~env_override:window_env ctx ~memory:canon_mem ~pc:[] ~fn
-            ~args:canon_args
+          Exec.run ctx ~memory:canon_mem ~pc:[] ~fn ~args:canon_args
         with Budget.Exhausted reason ->
           raise
             (Summary_failed

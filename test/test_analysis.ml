@@ -7,14 +7,10 @@
      of the analysis' computed in-state (γ-membership), over random
      inputs and programs exercising loops, arrays, pointers and
      branches.
-   - Prune invariance: verification fingerprints are byte-identical
-     with the analysis off, trusted, and distrusted, over engine
-     versions and under seeded fault plans — the analysis accelerates
-     the pipeline, it never changes what is proved.
-   - Discharge rate: a meaningful fraction of panic-guard branches is
-     discharged statically (the ≥20%% acceptance floor, with margin).
-   - Lint determinism, including independence from parallel verify runs
-     that warm the domain-local memos.
+     The engine versions are checked both env-free and under the
+     engine harness env lint uses.
+   - Lint determinism, including independence from parallel verify
+     runs.
    - Wellform rejects straight-line use-before-assignment. *)
 
 module Instr = Minir.Instr
@@ -354,140 +350,60 @@ let test_scc_fixpoint_sound () =
         [ "isEven"; "isOdd" ]
 
 (* The engine versions themselves: the abstract states must admit the
-   concrete frames the real resolver produces on a reference query. *)
+   concrete frames the real resolver produces on reference queries —
+   both the env-free analysis and the one lint runs under the engine
+   harness env ([Refine.Check.engine_env]: entry facts for `resolve`
+   plus encoded-tree field invariants). The queries cover an exact
+   answer, a wildcard, a CNAME through a wildcard alias, NXDOMAIN and
+   an MX lookup with additional-section processing. *)
+let soundness_queries =
+  List.map
+    (fun (name, qtype) -> Dns.Message.query (Dns.Name.of_string_exn name) qtype)
+    [
+      ("www.example.com", Dns.Rr.A);
+      ("x.wild.example.com", Dns.Rr.A);
+      ("x.alias.example.com", Dns.Rr.A);
+      ("nosuch.example.com", Dns.Rr.A);
+      ("example.com", Dns.Rr.MX);
+    ]
+
 let test_soundness_engine () =
   List.iter
-    (fun cfg ->
-      let prog = Engine.Versions.compiled cfg in
-      let summary = Analysis.summarize prog in
-      let violations = ref 0 and observed = ref 0 in
-      let observer fn label frame mem =
-        incr observed;
-        match Analysis.in_state summary ~fn ~label with
-        | None -> incr violations
-        | Some st -> (
-            let lookup r = Hashtbl.find_opt frame r in
-            let load p =
-              match Value.load mem p with v -> Some v | exception _ -> None
-            in
-            match Analysis.check_concrete st ~lookup ~load with
-            | Ok () -> ()
-            | Error msg ->
-                incr violations;
-                Printf.eprintf "%s: %s/%s: %s\n" cfg.Engine.Builder.version fn
-                  label msg)
-      in
-      let zone = Spec.Fixtures.reference_zone in
-      let q = Dns.Message.query (Dns.Name.of_string_exn "www.example.com") Dns.Rr.A in
-      (match Engine.Versions.run ~observer cfg zone q with
-      | Engine.Versions.Response _ | Engine.Versions.Engine_panic _ -> ());
-      check_bool
-        (cfg.Engine.Builder.version ^ ": block entries observed")
-        true (!observed > 0);
-      check_int (cfg.Engine.Builder.version ^ ": soundness violations") 0
-        !violations)
-    Engine.Versions.all
-
-(* ------------------------------------------------------------------ *)
-(* Prune invariance                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let qtypes = [ Dns.Rr.A; Dns.Rr.MX ]
-
-let scrub () =
-  Faultinject.reset ();
-  Smt.Solver.clear_caches ();
-  Dnsv.Pipeline.clear_summary_memo ();
-  Analysis.clear_memo ()
-
-let test_prune_invariance_versions () =
-  let zone = Spec.Fixtures.reference_zone in
-  List.iter
-    (fun cfg ->
-      let run analysis =
-        scrub ();
-        Dnsv.Pipeline.verify ~qtypes ~check_layers:false
-          ~budget:(Budget.create ()) ~analysis cfg zone
-        |> Dnsv.Pipeline.fingerprint
-      in
-      let off = run Analysis.Off in
-      check_string
-        (cfg.Engine.Builder.version ^ ": trust = off")
-        off (run Analysis.Trust);
-      check_string
-        (cfg.Engine.Builder.version ^ ": distrust = off")
-        off (run Analysis.Distrust))
-    (* v1.0 refutes on the reference zone, its fixed twin proves: the
-       invariance covers both verdict shapes. *)
-    [ Engine.Versions.v1_0; Engine.Versions.fixed Engine.Versions.v1_0 ]
-
-(* Under seeded fault plans the comparison arm is Distrust (same solver
-   call sequence as Off, so the same plan lands on the same calls); a
-   fault may degrade the verdict, but identically in both arms. *)
-let test_prune_invariance_fault_seeds () =
-  let zone = Spec.Fixtures.reference_zone in
-  let cfg = Engine.Versions.fixed Engine.Versions.v1_0 in
-  for seed = 1 to 6 do
-    let run analysis =
-      scrub ();
-      Dnsv.Chaos.arm_plan (Dnsv.Chaos.plan_of_seed seed);
-      match
-        Dnsv.Pipeline.verify ~qtypes ~check_layers:false
-          ~budget:(Budget.create ()) ~analysis cfg zone
-      with
-      | v -> Dnsv.Pipeline.fingerprint v
-      | exception Faultinject.Injected site -> "injected:" ^ site
-    in
-    let off = run Analysis.Off in
-    check_string
-      (Printf.sprintf "fault seed %d: distrust = off" seed)
-      off (run Analysis.Distrust)
-  done;
-  scrub ()
-
-(* ------------------------------------------------------------------ *)
-(* Discharge rate and cross-check cleanliness                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_discharge_rate () =
-  scrub ();
-  let m0 = Trace.Metrics.snapshot () in
-  let zone = Spec.Fixtures.reference_zone in
-  let cfg = Engine.Versions.fixed Engine.Versions.v1_0 in
-  ignore
-    (Dnsv.Pipeline.verify ~qtypes ~check_layers:false
-       ~budget:(Budget.create ()) ~analysis:Analysis.Trust cfg zone);
-  let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
-  let checks = Trace.Metrics.get d "analysis.panic_checks" in
-  let discharged = Trace.Metrics.get d "analysis.panic_discharged" in
-  check_bool "panic checks seen" true (checks > 0);
-  (* The acceptance floor is 20%; the engines sit around 70%. *)
-  check_bool
-    (Printf.sprintf "discharge rate %d/%d >= 20%%" discharged checks)
-    true
-    (discharged * 5 >= checks);
-  (* The interprocedural layer must carry some of those discharges:
-     claims the plain intraprocedural facts could not make. *)
-  check_bool "interprocedural discharges seen" true
-    (Trace.Metrics.get d "analysis.ip_discharged" > 0)
-
-let test_distrust_crosscheck_clean () =
-  scrub ();
-  let m0 = Trace.Metrics.snapshot () in
-  let zone = Spec.Fixtures.reference_zone in
-  let cfg = Engine.Versions.fixed Engine.Versions.v1_0 in
-  ignore
-    (Dnsv.Pipeline.verify ~qtypes:[ Dns.Rr.A ] ~check_layers:false
-       ~budget:(Budget.create ()) ~analysis:Analysis.Distrust cfg zone);
-  let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
-  check_bool "cross-checks performed" true
-    (Trace.Metrics.get d "analysis.crosscheck_pass" > 0);
-  check_int "cross-check mismatches" 0
-    (Trace.Metrics.get d "analysis.crosscheck_mismatch");
-  check_bool "interprocedural claims cross-checked" true
-    (Trace.Metrics.get d "analysis.ip_crosscheck" > 0);
-  check_int "interprocedural cross-check mismatches" 0
-    (Trace.Metrics.get d "analysis.ip_crosscheck_mismatch")
+    (fun (env_name, env) ->
+      List.iter
+        (fun cfg ->
+          let prog = Engine.Versions.compiled cfg in
+          let summary = Analysis.summarize ?env prog in
+          let violations = ref 0 and observed = ref 0 in
+          let where = cfg.Engine.Builder.version ^ " (" ^ env_name ^ ")" in
+          let observer fn label frame mem =
+            incr observed;
+            match Analysis.in_state summary ~fn ~label with
+            | None -> incr violations
+            | Some st -> (
+                let lookup r = Hashtbl.find_opt frame r in
+                let load p =
+                  match Value.load mem p with
+                  | v -> Some v
+                  | exception _ -> None
+                in
+                match Analysis.check_concrete st ~lookup ~load with
+                | Ok () -> ()
+                | Error msg ->
+                    incr violations;
+                    Printf.eprintf "%s: %s/%s: %s\n" where fn label msg)
+          in
+          let zone = Spec.Fixtures.reference_zone in
+          List.iter
+            (fun q ->
+              match Engine.Versions.run ~observer cfg zone q with
+              | Engine.Versions.Response _ | Engine.Versions.Engine_panic _ ->
+                  ())
+            soundness_queries;
+          check_bool (where ^ ": block entries observed") true (!observed > 0);
+          check_int (where ^ ": soundness violations") 0 !violations)
+        Engine.Versions.all)
+    [ ("no env", None); ("engine env", Some (Refine.Check.engine_env ())) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lint                                                               *)
@@ -521,7 +437,7 @@ let test_lint_jobs_independent () =
   let prog = Engine.Versions.compiled cfg in
   let before = lint_json prog in
   ignore
-    (Dnsv.Pipeline.verify ~qtypes ~check_layers:false
+    (Dnsv.Pipeline.verify ~qtypes:[ Dns.Rr.A; Dns.Rr.MX ] ~check_layers:false
        ~budget:(Budget.create ()) ~jobs:4 cfg Spec.Fixtures.reference_zone);
   check_string "lint unchanged after jobs=4 verify" before (lint_json prog)
 
@@ -635,17 +551,6 @@ let () =
             Alcotest.test_case "engine run inside abstract states" `Quick
               test_soundness_engine;
           ] );
-      ( "prune",
-        [
-          Alcotest.test_case "fingerprints equal off/trust/distrust" `Quick
-            test_prune_invariance_versions;
-          Alcotest.test_case "fingerprints equal under fault seeds" `Quick
-            test_prune_invariance_fault_seeds;
-          Alcotest.test_case "discharge rate >= 20%" `Quick
-            test_discharge_rate;
-          Alcotest.test_case "distrust cross-checks all pass" `Quick
-            test_distrust_crosscheck_clean;
-        ] );
       ( "lint",
         [
           Alcotest.test_case "deterministic" `Quick test_lint_deterministic;

@@ -242,6 +242,47 @@ let prop_check_pc_matches_monolithic =
             (Solver.check !pc))
         lits)
 
+(* A fork/backtrack walk the property above once shrank to. The
+   literal x+y ≠ y+x is false, but no certificate can justify that, so
+   its Unsat degrades to Unknown. The stack used to record that
+   refutation anyway and then replay the unjustified certificate for
+   every extension, answering Unknown even after [false] was asserted.
+   A monolithic check proves those extensions Unsat. Refutations are
+   now recorded only once their certificate has validated, and the
+   theory check leaves such a literal out when the others already
+   refute the conjunction. *)
+let test_check_pc_walk_regression () =
+  Cert.install ();
+  let s = Solver.Incremental.create () in
+  let lit = Term.not_ (Term.eq (Term.add [ x; y ]) (Term.add [ y; x ])) in
+  let p1 = [ Term.le (Term.int (-7)) (Term.add [ x; z ]) ] in
+  let p2 = Term.lt x z :: p1 in
+  let p3 = Term.not_ (Term.lt x (Term.add [ z; Term.int (-4) ])) :: p2 in
+  let p4 = Term.not_ (Term.eq x y) :: p1 in
+  let p5 = lit :: p4 in
+  let p6 = Term.True :: p5 in
+  let p7 = Term.False :: p6 in
+  let p8 = Term.lt (Term.int 2) z :: p7 in
+  let p9 = Term.True :: p8 in
+  let p10 = Term.le (Term.add [ y; Term.int 1 ]) (Term.int 1) :: p9 in
+  List.iteri
+    (fun i pc ->
+      check_bool
+        (Printf.sprintf "step %d: check_pc agrees with check" (i + 1))
+        true
+        (same_verdict (Solver.Incremental.check_pc s pc) (Solver.check pc)))
+    [ p1; p2; p3; p4; p5; p6; p7; p8; p9; p10 ];
+  List.iter
+    (fun pc ->
+      check_bool "an extension by false is Unsat" true
+        (same_verdict (Solver.Incremental.check_pc s pc) Solver.Unsat))
+    [ p7; p10 ];
+  (* The other literals refute the conjunction on their own, and that
+     refutation certifies it: the answer is Unsat, not Unknown. *)
+  let pc = [ lit; Term.lt x (Term.int 0); Term.lt (Term.int 0) x ] in
+  check_bool "Unsat without the uncertifiable literal" true
+    (same_verdict (Solver.check pc) Solver.Unsat)
+
 (* The stack must stay correct with the optimization switched off (the
    benchmark's seed-equivalent mode falls back to monolithic checks). *)
 let test_incremental_switch () =
@@ -347,6 +388,8 @@ let () =
         @ [
             Alcotest.test_case "switches preserve verdicts" `Quick
               test_incremental_switch;
+            Alcotest.test_case "check_pc walk with an uncertifiable literal"
+              `Quick test_check_pc_walk_regression;
           ] );
       ("cache", qcheck [ prop_cached_verdicts_stable ]);
       ( "parallel",

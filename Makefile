@@ -1,14 +1,12 @@
 # Convenience targets over dune. `make bench-json` is the perf gate:
-# it regenerates BENCH_PR10.json and fails (exit 1) if parallel/cached
-# verdicts diverge from sequential ones, the summaries-ablation
+# it regenerates BENCH_PR10.json and fails (exit 1) if parallel
+# verdicts diverge from cached sequential ones, the summaries-ablation
 # speedup regresses below its seed-commit floor, certificate checking
 # costs more than 10% over the uncertified re-verification, span
 # recording costs more than 5%, the store-backed incremental
 # cross-version re-verify is less than 10x faster than cold (or its
-# verdict fingerprint drifts), store bookkeeping costs more than 10% over a storeless run, the
-# CDCL solver core does fewer than 2x fewer DPLL(T) iterations than
-# the legacy no-learning discipline (or more than half the PR 6
-# baseline, or its verdict fingerprint drifts), or the 200-plan chaos
+# verdict fingerprint drifts), store bookkeeping costs more than 10%
+# over a storeless run, or the 200-plan chaos
 # soak reports a soundness violation, or the wire probe's malformed
 # loadgen leg crashes the serve loop (any escaped exception or decoder
 # barrier firing), or the observability stack (sampled query log +
@@ -25,8 +23,9 @@
 # test/golden/verdicts_reference_zone.txt. `make chaos` is the
 # standalone soak via the CLI; `make trace` records a
 # verification trace and renders it. `make fuzz` is the seeded
-# solver-fuzz smoke battery (random CNFs and LIA conjunctions, CDCL
-# vs. a reference evaluator); `make fuzz-wire` is its RFC 1035
+# solver-fuzz smoke battery (random CNFs, LIA conjunctions and
+# DPLL(T) terms, judged by a brute-force reference evaluator and the
+# independent certificate checker); `make fuzz-wire` is its RFC 1035
 # decoder twin (every typed guard must fire, nothing may escape).
 # `make serve` runs a UDP authoritative loop on port 5300; `make
 # loadgen` fires the default mixed load (10% malformed) at it.

@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- fig12     # just Figure 12
      dune exec bench/main.exe -- micro     # just the Bechamel benches
      dune exec bench/main.exe -- ablation  # summaries vs. inlining
-     dune exec bench/main.exe -- reverify  # caching/parallel re-verification
+     dune exec bench/main.exe -- reverify  # cached/parallel re-verification
      dune exec bench/main.exe -- certoverhead # certificate-validation tax
      dune exec bench/main.exe -- traceoverhead # span-recording tax
      dune exec bench/main.exe -- chaos     # 200-plan seeded chaos soak
@@ -87,24 +87,19 @@ let ablation () =
 (* Re-verification workload (Table-2 shaped)                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The perf headline of this PR: re-verify every fixed engine version
-   [reverify_passes] times over the reference zone (all query types) —
-   the workload of a developer re-running the proof after an unrelated
-   edit. Three configurations:
+(* Re-verify every fixed engine version [reverify_passes] times over
+   the reference zone (all query types) — the workload of a developer
+   re-running the proof after an unrelated edit. Two configurations:
 
-   - seed:    result caches AND the incremental assertion stack off,
-              sequential — every branch decision re-translates and
-              re-solves its whole path condition from scratch (the
-              pre-optimization solver);
-   - cached:  caches + incremental stack on, sequential;
-   - parallel: caches on, fanned over a [reverify_jobs]-worker domain
-              pool (clamped to the machine's recommended domain count:
-              oversubscribing cores only adds GC contention).
+   - cached:   sequential;
+   - parallel: fanned over a [reverify_jobs]-worker domain pool
+               (clamped to the machine's recommended domain count:
+               oversubscribing cores only adds GC contention).
 
    The task list interleaves passes so the pool's static round-robin
    pins every pass of one version to one worker: its domain-local
-   solver caches see the re-verification. All three configurations
-   must produce byte-identical verdict fingerprints. *)
+   solver caches see the re-verification. Both configurations must
+   produce byte-identical verdict fingerprints. *)
 
 let reverify_passes = 2
 let reverify_jobs = 4
@@ -140,14 +135,12 @@ type reverify_run = {
   rv_stats : Smt.Solver.stats;
 }
 
-let reverify_run ~caching ~jobs () =
+let reverify_run ~jobs () =
   let zone = Spec.Fixtures.reference_zone in
   let tasks =
     List.concat (List.init reverify_passes (fun _ -> reverify_versions ()))
   in
   let jobs = effective_jobs jobs in
-  Smt.Solver.set_caching caching;
-  Smt.Solver.set_incremental caching;
   Smt.Solver.clear_caches ();
   Dnsv.Pipeline.clear_summary_memo ();
   let task cfg =
@@ -162,8 +155,6 @@ let reverify_run ~caching ~jobs () =
   let t0 = Unix.gettimeofday () in
   let results, walls = Parallel.Domainpool.map_timed ~jobs task tasks in
   let wall = Unix.gettimeofday () -. t0 in
-  Smt.Solver.set_caching true;
-  Smt.Solver.set_incremental true;
   let stats = zero_stats () in
   List.iter (fun (_, s) -> Smt.Solver.add_stats ~into:stats s) results;
   {
@@ -174,10 +165,9 @@ let reverify_run ~caching ~jobs () =
   }
 
 let reverify_all () =
-  let seed = reverify_run ~caching:false ~jobs:1 () in
-  let cached = reverify_run ~caching:true ~jobs:1 () in
-  let par = reverify_run ~caching:true ~jobs:reverify_jobs () in
-  (seed, cached, par)
+  let cached = reverify_run ~jobs:1 () in
+  let par = reverify_run ~jobs:reverify_jobs () in
+  (cached, par)
 
 (* ------------------------------------------------------------------ *)
 (* Certificate-checking overhead                                      *)
@@ -205,7 +195,7 @@ let best_of n f =
 let cert_overhead_runs () =
   let arm certify () =
     Smt.Solver.set_certify certify;
-    let r = reverify_run ~caching:true ~jobs:1 () in
+    let r = reverify_run ~jobs:1 () in
     Smt.Solver.set_certify true;
     r
   in
@@ -243,11 +233,11 @@ let trace_overhead_gate = 1.05
 let trace_overhead_reps = 9
 
 let trace_overhead_runs () =
-  let arm_untraced () = reverify_run ~caching:true ~jobs:1 () in
+  let arm_untraced () = reverify_run ~jobs:1 () in
   let spans = ref 0 in
   let arm_traced () =
     let r, forest =
-      Trace.recording (fun () -> reverify_run ~caching:true ~jobs:1 ())
+      Trace.recording (fun () -> reverify_run ~jobs:1 ())
     in
     spans := Trace.span_count forest;
     r
@@ -446,125 +436,24 @@ let reverify () =
     reverify_passes
     (List.length (reverify_versions ()))
     (List.length Dnsv.Pipeline.all_qtypes);
-  let seed, cached, par = reverify_all () in
+  let cached, par = reverify_all () in
   let line name (r : reverify_run) =
     Printf.printf
       "%-22s %8.3f s   speedup %5.2fx   dpllt %4d   cache %d/%d hit/miss   \
        incr/scratch %d/%d\n"
       name r.rv_wall
-      (seed.rv_wall /. r.rv_wall)
+      (cached.rv_wall /. r.rv_wall)
       r.rv_stats.Smt.Solver.dpllt_iterations
       r.rv_stats.Smt.Solver.cache_hits r.rv_stats.Smt.Solver.cache_misses
       r.rv_stats.Smt.Solver.incremental_checks
       r.rv_stats.Smt.Solver.scratch_checks
   in
-  line "seed (no caches)" seed;
   line "cached, sequential" cached;
   line (Printf.sprintf "cached, --jobs %d" reverify_jobs) par;
-  let identical =
-    String.equal seed.rv_fingerprint cached.rv_fingerprint
-    && String.equal cached.rv_fingerprint par.rv_fingerprint
-  in
+  let identical = String.equal cached.rv_fingerprint par.rv_fingerprint in
   Printf.printf "\nverdict fingerprints identical across configurations: %b\n\n"
     identical;
   if not identical then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* CDCL solver-core gate                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The solver-core headline of this PR: the whole-pipeline verification
-   workload (resolution layers + every engine qtype under a tracked
-   budget — the probe whose PR 6 run measured
-   [cdcl_baseline_pr6_iterations] DPLL(T) iterations) under the legacy
-   solver discipline — presolve off and clause learning off, so every
-   theory refutation blocks the full assignment and the SAT search
-   restarts from scratch — vs. the CDCL defaults: theory conflict
-   cores learned as clauses in a persistent solver, presolve pruning,
-   and entailed-unit trail seeding. Certificate validation stays on in
-   both arms, so every served answer is still checked. Gates: the CDCL
-   arm must do >= [cdcl_gate]x fewer dpllt_iterations than the legacy
-   arm AND stay at or below half the PR 6 baseline, with byte-identical
-   verdict fingerprints between the arms. *)
-
-let cdcl_baseline_pr6_iterations = 1326
-let cdcl_gate = 2.0
-
-type cdcl_run = {
-  cd_wall : float;
-  cd_fp : string;
-  cd_stats : Smt.Solver.stats;
-  cd_conflicts : int;
-  cd_learned : int;
-  cd_restarts : int;
-  cd_propagations : int;
-  cd_pruned : int;
-}
-
-let cdcl_run ~legacy () =
-  let cfg = Engine.Versions.fixed Engine.Versions.v3_0 in
-  let zone = Spec.Fixtures.reference_zone in
-  Smt.Solver.set_presolve (not legacy);
-  Smt.Solver.set_learning (not legacy);
-  Smt.Solver.clear_caches ();
-  Dnsv.Pipeline.clear_summary_memo ();
-  let s0 = stats_snapshot () in
-  let m0 = Trace.Metrics.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let v = Dnsv.Pipeline.verify ~budget:(Budget.create ()) cfg zone in
-  let wall = Unix.gettimeofday () -. t0 in
-  let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
-  let stats = Smt.Solver.diff_stats (stats_snapshot ()) s0 in
-  Smt.Solver.set_presolve true;
-  Smt.Solver.set_learning true;
-  {
-    cd_wall = wall;
-    cd_fp = Dnsv.Pipeline.fingerprint v;
-    cd_stats = stats;
-    cd_conflicts = Trace.Metrics.get d "solver.conflicts";
-    cd_learned = Trace.Metrics.get d "solver.learned_clauses";
-    cd_restarts = Trace.Metrics.get d "solver.restarts";
-    cd_propagations = Trace.Metrics.get d "solver.propagations";
-    cd_pruned = Trace.Metrics.get d "presolve.pruned";
-  }
-
-let cdcl_runs () =
-  let legacy = cdcl_run ~legacy:true () in
-  let cdcl = cdcl_run ~legacy:false () in
-  (legacy, cdcl)
-
-let cdcl_gates (legacy : cdcl_run) (cdcl : cdcl_run) =
-  let li = legacy.cd_stats.Smt.Solver.dpllt_iterations
-  and ci = cdcl.cd_stats.Smt.Solver.dpllt_iterations in
-  let ratio = if ci = 0 then infinity else float_of_int li /. float_of_int ci in
-  let identical = String.equal legacy.cd_fp cdcl.cd_fp in
-  (li, ci, ratio, identical)
-
-let cdcl_reverify () =
-  rule ();
-  print_endline
-    "CDCL solver core: legacy discipline (full-assignment blocking, scratch";
-  print_endline
-    "re-solves) vs. learned theory cores + presolve, whole-pipeline workload";
-  print_newline ();
-  let legacy, cdcl = cdcl_runs () in
-  let line name (r : cdcl_run) =
-    Printf.printf
-      "%-26s %8.3f s   dpllt %5d   conflicts %5d   learned %5d   pruned %4d\n"
-      name r.cd_wall r.cd_stats.Smt.Solver.dpllt_iterations r.cd_conflicts
-      r.cd_learned r.cd_pruned
-  in
-  line "legacy discipline" legacy;
-  line "cdcl + presolve" cdcl;
-  let li, ci, ratio, identical = cdcl_gates legacy cdcl in
-  Printf.printf
-    "\ndpllt_iterations %d -> %d: %.2fx fewer (gate >= %.0fx; PR 6 baseline \
-     %d), fingerprints identical: %b\n\n"
-    li ci ratio cdcl_gate cdcl_baseline_pr6_iterations identical;
-  if
-    (not identical) || ratio < cdcl_gate
-    || 2 * ci > cdcl_baseline_pr6_iterations
-  then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* JSON budget-consumption report                                     *)
@@ -634,13 +523,6 @@ let json_of_reverify (r : reverify_run) =
         ^ "]" );
       ("solver", json_of_stats r.rv_stats);
     ]
-
-(* Timed Table-2 run (all witness bugs re-found) — the before/after
-   probe for the solver-cache plumbing. *)
-let timed_table2 () =
-  let t0 = Unix.gettimeofday () in
-  let r = Dnsv.Table2.run () in
-  (Unix.gettimeofday () -. t0, List.length r.Dnsv.Table2.rows)
 
 let timed_ablation () =
   let cfg = Engine.Versions.fixed Engine.Versions.v3_0 in
@@ -1093,22 +975,12 @@ let json () =
         ("phases", "[" ^ String.concat ", " phases ^ "]");
       ]
   in
-  (* Before/after probes: Table 2 with the result caches disabled
-     (seed-equivalent solver) vs. enabled, then the re-verification
-     workload, then the summaries ablation with its regression gate. *)
-  Smt.Solver.set_caching false;
-  Smt.Solver.clear_caches ();
-  let t2_before, t2_rows = timed_table2 () in
-  Smt.Solver.set_caching true;
-  Smt.Solver.clear_caches ();
-  let t2_after, _ = timed_table2 () in
-  let seed, cached, par = reverify_all () in
+  (* The re-verification workload, then the summaries ablation with its
+     regression gate. *)
+  let cached, par = reverify_all () in
   let verdicts_identical =
-    String.equal seed.rv_fingerprint cached.rv_fingerprint
-    && String.equal cached.rv_fingerprint par.rv_fingerprint
+    String.equal cached.rv_fingerprint par.rv_fingerprint
   in
-  let speedup_cached = seed.rv_wall /. cached.rv_wall in
-  let speedup_parallel = seed.rv_wall /. par.rv_wall in
   let abl_sum, abl_inl, abl_ok = timed_ablation () in
   let abl_speedup = abl_inl /. abl_sum in
   let abl_floor = ablation_regression_floor *. ablation_seed_speedup in
@@ -1125,8 +997,6 @@ let json () =
   let inc_identical = String.equal inc.inc_cold.ir_fp inc.inc_warm.ir_fp in
   let so = store_overhead_runs () in
   let so_ratio = so.so_with.ir_wall /. so.so_without.ir_wall in
-  let cd_legacy, cd_cdcl = cdcl_runs () in
-  let cd_li, cd_ci, cd_ratio, cd_identical = cdcl_gates cd_legacy cd_cdcl in
   let wp = wire_probe () in
   let op = obs_runs () in
   let op_wall_ratio, op_p99_ratio, op_identical = obs_gates op in
@@ -1135,14 +1005,6 @@ let json () =
     (json_obj
        [
          ("pipeline", pipeline_json);
-         ( "table2",
-           json_obj
-             [
-               ("rows", string_of_int t2_rows);
-               ("before_wall_s", Printf.sprintf "%.4f" t2_before);
-               ("after_wall_s", Printf.sprintf "%.4f" t2_after);
-               ("speedup", Printf.sprintf "%.3f" (t2_before /. t2_after));
-             ] );
          ( "reverify",
            json_obj
              [
@@ -1150,11 +1012,8 @@ let json () =
                ( "versions",
                  string_of_int (List.length (reverify_versions ())) );
                ("jobs", string_of_int reverify_jobs);
-               ("seed", json_of_reverify seed);
                ("cached_sequential", json_of_reverify cached);
                ("cached_parallel", json_of_reverify par);
-               ("speedup_cached", Printf.sprintf "%.3f" speedup_cached);
-               ("speedup_parallel", Printf.sprintf "%.3f" speedup_parallel);
                ("verdicts_identical", string_of_bool verdicts_identical);
              ] );
          ( "ablation",
@@ -1207,26 +1066,6 @@ let json () =
                ("with_store_wall_s", Printf.sprintf "%.4f" so.so_with.ir_wall);
                ("overhead_ratio", Printf.sprintf "%.3f" so_ratio);
                ("gate", Printf.sprintf "%.2f" store_overhead_gate);
-             ] );
-         ( "cdcl_reverify",
-           json_obj
-             [
-               ("legacy_wall_s", Printf.sprintf "%.4f" cd_legacy.cd_wall);
-               ("cdcl_wall_s", Printf.sprintf "%.4f" cd_cdcl.cd_wall);
-               ("iterations_legacy", string_of_int cd_li);
-               ("iterations_cdcl", string_of_int cd_ci);
-               ("iteration_ratio", Printf.sprintf "%.3f" cd_ratio);
-               ("gate", Printf.sprintf "%.1f" cdcl_gate);
-               ( "baseline_pr6_iterations",
-                 string_of_int cdcl_baseline_pr6_iterations );
-               ("conflicts", string_of_int cd_cdcl.cd_conflicts);
-               ("learned_clauses", string_of_int cd_cdcl.cd_learned);
-               ("restarts", string_of_int cd_cdcl.cd_restarts);
-               ("propagations", string_of_int cd_cdcl.cd_propagations);
-               ("presolve_pruned", string_of_int cd_cdcl.cd_pruned);
-               ( "cert_checks",
-                 string_of_int cd_cdcl.cd_stats.Smt.Solver.cert_checks );
-               ("fingerprints_identical", string_of_bool cd_identical);
              ] );
          ("wire", json_of_wire wp);
          ("obs_overhead", json_of_obs op);
@@ -1281,25 +1120,6 @@ let json () =
     Printf.eprintf
       "FAIL: store bookkeeping overhead %.3fx exceeds the %.2fx gate\n"
       so_ratio store_overhead_gate;
-    exit 1
-  end;
-  if not cd_identical then begin
-    prerr_endline
-      "FAIL: CDCL and legacy-discipline verdict fingerprints differ";
-    exit 1
-  end;
-  if cd_ratio < cdcl_gate then begin
-    Printf.eprintf
-      "FAIL: CDCL dpllt_iterations reduction %.2fx below the %.0fx gate (%d \
-       -> %d)\n"
-      cd_ratio cdcl_gate cd_li cd_ci;
-    exit 1
-  end;
-  if 2 * cd_ci > cdcl_baseline_pr6_iterations then begin
-    Printf.eprintf
-      "FAIL: CDCL arm's %d dpllt_iterations exceeds half the PR 6 baseline \
-       (%d)\n"
-      cd_ci cdcl_baseline_pr6_iterations;
     exit 1
   end;
   if not (wire_probe_ok wp) then begin
@@ -1437,7 +1257,6 @@ let () =
       | "fig12" -> fig12 ()
       | "ablation" -> ablation ()
       | "reverify" -> reverify ()
-      | "cdclreverify" -> cdcl_reverify ()
       | "certoverhead" -> cert_overhead ()
       | "traceoverhead" -> trace_overhead ()
       | "incremental" -> incremental ()
@@ -1449,7 +1268,7 @@ let () =
       | other ->
           Printf.eprintf
             "unknown target %s (expected \
-             table1|table2|table3|fig12|ablation|reverify|cdclreverify|certoverhead|traceoverhead|incremental|chaos|wireqps|obsoverhead|json|micro)\n"
+             table1|table2|table3|fig12|ablation|reverify|certoverhead|traceoverhead|incremental|chaos|wireqps|obsoverhead|json|micro)\n"
             other;
           exit 2)
     targets

@@ -204,6 +204,44 @@ let check_cert (atoms : Linear.atom list) : cert_result =
                  pl' pup)
         | _ -> Ok ({ b with Simplex.lower = Some l' }, (pl', pup))
     in
+    (* The fractional variable to branch on. Branching outside an
+       equality that pins a fractional value can go on forever: for
+       2x = −1 ∧ x = y + z, splitting y and z in turn never ends, while
+       splitting x refutes both sides at once. So prefer the equality
+       row with the fewest fractional variables and branch on its
+       lowest-index one; with no such row, the lowest-index fractional
+       variable. Row order plays no part, so the choice does not depend
+       on the order of the atoms beyond variable numbering. *)
+    let branch_var beta all_rows =
+      let fractional i = not (Q.is_integer beta.(i)) in
+      let rec first i =
+        if i >= nvars then None
+        else if fractional i then Some i
+        else first (i + 1)
+      in
+      match first 0 with
+      | None -> None
+      | Some i0 ->
+          let best = ref None in
+          List.iter
+            (fun (r, _) ->
+              if r.is_eq then
+                let fr =
+                  List.filter_map
+                    (fun (_, v) ->
+                      let i = intern v in
+                      if fractional i then Some i else None)
+                    r.coeffs
+                in
+                match fr with
+                | [] -> ()
+                | i :: rest ->
+                    let cand = (List.length fr, List.fold_left min i rest) in
+                    if match !best with None -> true | Some b -> cand < b
+                    then best := Some cand)
+            all_rows;
+          Some (match !best with Some (_, i) -> i | None -> i0)
+    in
     let rec branch var_bounds bprov extra_rows pending_neqs depth : cert_result
         =
       if depth > max_depth then Cunknown
@@ -213,12 +251,7 @@ let check_cert (atoms : Linear.atom list) : cert_result =
         | Simplex.Infeasible c ->
             Cunsat (farkas_of_conflict bprov all_rows c)
         | Simplex.Feasible beta -> (
-            (* Find a fractional original variable. *)
-            let frac = ref None in
-            for i = 0 to nvars - 1 do
-              if !frac = None && not (Q.is_integer beta.(i)) then frac := Some i
-            done;
-            match !frac with
+            match branch_var beta all_rows with
             | Some i -> (
                 let v = beta.(i) in
                 let k = Q.floor v in
@@ -336,243 +369,3 @@ let proof_atoms (p : proof) : int list =
     | P_split (i, l, r) -> go (go (i :: acc) l) r
   in
   List.sort_uniq compare (go [] p)
-
-(* ------------------------------------------------------------------ *)
-(* Theory-aware presolve: interval propagation + gcd tightening        *)
-(* ------------------------------------------------------------------ *)
-
-module Int_set = Set.Make (Int)
-
-type bounds = (int option * int option) String_map.t
-
-type presolve_result = Pfeasible of bounds | Punsat of proof option
-
-(* floor(a/b) and ceil(a/b) for b > 0 *)
-let fdiv a b = if a >= 0 then a / b else -((-a + b - 1) / b)
-let cdiv a b = fdiv (a + b - 1) b
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-type pbound = {
-  mutable lo : int option;
-  mutable lo_sup : Int_set.t; (* input atoms justifying lo *)
-  mutable hi : int option;
-  mutable hi_sup : Int_set.t;
-}
-
-exception Infeasible_core of Int_set.t
-
-(* Re-anchor a proof over the conflict core back to the original atom
-   indices: facts in the core proof are positions in the core list. *)
-let remap_proof (orig : int array) (p : proof) : proof =
-  let rf = function
-    | F_atom i -> F_atom orig.(i)
-    | F_neq_le i -> F_neq_le orig.(i)
-    | F_neq_ge i -> F_neq_ge orig.(i)
-    | (F_le _ | F_ge _) as f -> f
-  in
-  let rec go = function
-    | P_farkas steps -> P_farkas (List.map (fun (f, l) -> (rf f, l)) steps)
-    | P_branch (x, k, l, r) -> P_branch (x, k, go l, go r)
-    | P_split (i, l, r) -> P_split (orig.(i), go l, go r)
-  in
-  go p
-
-(* Certify a contradiction found by propagation: run the full decision
-   procedure on just the support core (tiny by construction) and remap
-   its proof to original indices. Certificates therefore stay in the
-   existing Farkas/split-tree forms — presolve introduces no new proof
-   constructor for `lib/cert` to learn. *)
-let certify_core (atoms : Linear.atom array) (core : Int_set.t) :
-    presolve_result option =
-  let orig = Array.of_list (Int_set.elements core) in
-  let sub = Array.to_list (Array.map (fun i -> atoms.(i)) orig) in
-  match check_cert sub with
-  | Cunsat (Some p) -> Some (Punsat (Some (remap_proof orig p)))
-  | Cunsat None -> Some (Punsat None)
-  | Csat _ | Cunknown -> None
-
-(* Interval presolve over the conjunction. Propagates integer bounds
-   through every (in)equality — with gcd coefficient tightening applied
-   to each row first — until fixpoint (bounded passes). On a detected
-   contradiction the support core is re-checked and certified by
-   [check_cert]; a core the checker cannot confirm falls back to
-   feasible, so presolve can prune but never decide on its own
-   authority. *)
-let presolve (atoms : Linear.atom list) : presolve_result =
-  let atoms_arr = Array.of_list atoms in
-  let tbl : (string, pbound) Hashtbl.t = Hashtbl.create 16 in
-  let bnd x =
-    match Hashtbl.find_opt tbl x with
-    | Some b -> b
-    | None ->
-        let b =
-          { lo = None; lo_sup = Int_set.empty; hi = None; hi_sup = Int_set.empty }
-        in
-        Hashtbl.add tbl x b;
-        b
-  in
-  let changed = ref false in
-  let set_hi x v sup =
-    let b = bnd x in
-    match b.hi with
-    | Some h when h <= v -> ()
-    | _ -> (
-        b.hi <- Some v;
-        b.hi_sup <- sup;
-        changed := true;
-        match b.lo with
-        | Some l when l > v ->
-            raise (Infeasible_core (Int_set.union b.lo_sup sup))
-        | _ -> ())
-  in
-  let set_lo x v sup =
-    let b = bnd x in
-    match b.lo with
-    | Some l when l >= v -> ()
-    | _ -> (
-        b.lo <- Some v;
-        b.lo_sup <- sup;
-        changed := true;
-        match b.hi with
-        | Some h when h < v ->
-            raise (Infeasible_core (Int_set.union b.hi_sup sup))
-        | _ -> ())
-  in
-  try
-    (* Rows in  Σ ci·xi ≤ b  form; an equality contributes both sides.
-       Each row remembers the input atom it came from. *)
-    let rows = ref [] in
-    Array.iteri
-      (fun i atom ->
-        let push lin =
-          match Linear.const_value lin with
-          | Some c -> if c > 0 then raise (Infeasible_core (Int_set.singleton i))
-          | None ->
-              let coeffs =
-                Linear.fold_coeffs (fun acc v c -> (c, v) :: acc) [] lin
-              in
-              let b = -Linear.coeff_free lin in
-              (* gcd coefficient tightening: Σ g·ci'·xi ≤ b entails
-                 Σ ci'·xi ≤ ⌊b/g⌋ over the integers. *)
-              let g = List.fold_left (fun g (c, _) -> gcd g c) 0 coeffs in
-              let coeffs, b =
-                if g > 1 then (List.map (fun (c, v) -> (c / g, v)) coeffs, fdiv b g)
-                else (coeffs, b)
-              in
-              rows := (coeffs, b, i) :: !rows
-        in
-        match atom with
-        | Linear.Le_zero lin -> push lin
-        | Linear.Eq_zero lin -> (
-            (* Divisibility check before splitting into two ≤-rows:
-               g | ci for all i but g ∤ c0 refutes the equality alone. *)
-            match Linear.const_value lin with
-            | Some c -> if c <> 0 then raise (Infeasible_core (Int_set.singleton i))
-            | None ->
-                let g =
-                  Linear.fold_coeffs (fun g _ c -> gcd g c) 0 lin
-                in
-                if g > 1 && Linear.coeff_free lin mod g <> 0 then
-                  raise (Infeasible_core (Int_set.singleton i));
-                push lin;
-                push (Linear.neg lin))
-        | Linear.Neq_zero lin -> (
-            match Linear.const_value lin with
-            | Some 0 -> raise (Infeasible_core (Int_set.singleton i))
-            | _ -> ()))
-      atoms_arr;
-    let rows = !rows in
-    (* Bounded fixpoint: each pass strengthens monotonically; the cap
-       keeps adversarial ping-pong chains from stalling the solver —
-       presolve is allowed to under-approximate. *)
-    let passes = ref 0 in
-    changed := true;
-    while !changed && !passes < 20 do
-      changed := false;
-      incr passes;
-      List.iter
-        (fun (coeffs, b, i) ->
-          (* For each variable: cj·xj ≤ b − Σ_{k≠j} min(ck·xk). *)
-          List.iter
-            (fun (cj, xj) ->
-              let rest = ref (Some 0) and sup = ref (Int_set.singleton i) in
-              List.iter
-                (fun (ck, xk) ->
-                  if xk <> xj then
-                    match !rest with
-                    | None -> ()
-                    | Some acc -> (
-                        let bk = bnd xk in
-                        let contrib =
-                          if ck > 0 then
-                            Option.map (fun l -> (l, bk.lo_sup)) bk.lo
-                          else Option.map (fun h -> (h, bk.hi_sup)) bk.hi
-                        in
-                        match contrib with
-                        | None -> rest := None
-                        | Some (v, s) ->
-                            rest := Some (acc + (ck * v));
-                            sup := Int_set.union !sup s))
-                coeffs;
-              match !rest with
-              | None -> ()
-              | Some rest_min ->
-                  let r = b - rest_min in
-                  if cj > 0 then set_hi xj (fdiv r cj) !sup
-                  else set_lo xj (cdiv (-r) (-cj)) !sup)
-            coeffs)
-        rows
-    done;
-    let out =
-      Hashtbl.fold
-        (fun x b acc -> String_map.add x (b.lo, b.hi) acc)
-        tbl String_map.empty
-    in
-    Pfeasible out
-  with Infeasible_core core -> (
-    match certify_core atoms_arr core with
-    | Some r -> r
-    | None ->
-        (* The core checker would not confirm the contradiction —
-           presolve never decides on its own authority. *)
-        Pfeasible String_map.empty)
-
-(* Three-valued evaluation of an atom under interval bounds: entailed
-   true / entailed false when every integer point in the box agrees,
-   [None] otherwise. Used to seed unit literals on the SAT trail. *)
-let entailed (bounds : bounds) (atom : Linear.atom) : bool option =
-  let range lin =
-    let lo = ref (Some (Linear.coeff_free lin))
-    and hi = ref (Some (Linear.coeff_free lin)) in
-    Linear.fold_coeffs
-      (fun () x c ->
-        let blo, bhi =
-          match String_map.find_opt x bounds with
-          | Some (l, h) -> (l, h)
-          | None -> (None, None)
-        in
-        let mn, mx = if c > 0 then (blo, bhi) else (bhi, blo) in
-        lo := combine2 (fun a v -> a + (c * v)) !lo mn;
-        hi := combine2 (fun a v -> a + (c * v)) !hi mx)
-      () lin;
-    (!lo, !hi)
-  in
-  match atom with
-  | Linear.Le_zero lin -> (
-      match range lin with
-      | _, Some h when h <= 0 -> Some true
-      | Some l, _ when l > 0 -> Some false
-      | _ -> None)
-  | Linear.Eq_zero lin -> (
-      match range lin with
-      | Some 0, Some 0 -> Some true
-      | Some l, _ when l > 0 -> Some false
-      | _, Some h when h < 0 -> Some false
-      | _ -> None)
-  | Linear.Neq_zero lin -> (
-      match range lin with
-      | Some 0, Some 0 -> Some false
-      | Some l, _ when l > 0 -> Some true
-      | _, Some h when h < 0 -> Some true
-      | _ -> None)

@@ -51,26 +51,3 @@ val check : Linear.atom list -> result
    assignment, so one theory conflict prunes every assignment that
    shares the core. *)
 val proof_atoms : proof -> int list
-
-(* Per-variable integer bounds derived by [presolve]:
-   variable -> (lower, upper), either side possibly open. *)
-type bounds = (int option * int option) String_map.t
-
-(* [Punsat]: the conjunction is infeasible; the proof (over original
-   atom indices, in the existing Farkas/split-tree forms) was obtained
-   by running [check_cert] on the contradiction's support core, so
-   downstream certificate validation is unchanged. [Pfeasible]: no
-   contradiction found; the bounds box over-approximates the solution
-   set and can seed entailed literals. *)
-type presolve_result = Pfeasible of bounds | Punsat of proof option
-
-(* Interval bound propagation plus gcd coefficient tightening over the
-   conjunction. Sound but deliberately incomplete (bounded passes):
-   prunes trivially-infeasible queries before they reach the SAT core,
-   and never decides on its own authority — a contradiction is only
-   reported when [check_cert] confirms it on the support core. *)
-val presolve : Linear.atom list -> presolve_result
-
-(* Three-valued evaluation of an atom under interval bounds: entailed
-   true / entailed false when every integer point in the box agrees. *)
-val entailed : bounds -> Linear.atom -> bool option

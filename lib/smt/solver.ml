@@ -6,11 +6,12 @@
 
    - conjunctions of literals (the overwhelmingly common case — path
      conditions) go straight to the LIA procedure;
-   - arbitrary boolean structure goes through Tseitin CNF + DPLL, with
-     theory-refuted assignments blocked by clauses until convergence.
+   - arbitrary boolean structure goes through Tseitin CNF into one
+     persistent CDCL solver, which learns each theory refutation's
+     conflict core as a clause until convergence.
 
-   Two performance layers sit on top (both domain-local, so parallel
-   pipeline workers never contend or race):
+   Two performance layers sit on top, always on (both domain-local, so
+   parallel pipeline workers never contend or race):
 
    - a result cache keyed on the canonically sorted conjunction, so the
      re-verification workload — re-running the checker after an engine
@@ -142,41 +143,17 @@ let copy_into (dst : stats) (src : stats) =
   dst.cert_checks <- src.cert_checks;
   dst.cert_failures <- src.cert_failures
 
-(* Window and lifetime marks, domain-local. [stats ()] is everything
-   since the last [reset_stats] (called per verification attempt, to
-   scope the per-attempt [unknowns] reads); [lifetime ()] everything
-   since the last [reset_lifetime]. Fresh domains start with zero
-   registry cells and zero marks, so a worker's raw values are already
-   the delta its joiner wants. *)
+(* The window mark, domain-local. [stats ()] is everything since the
+   last [reset_stats] (called per verification attempt, to scope the
+   per-attempt [unknowns] reads); [lifetime ()] is the domain's whole
+   registry total. Fresh domains start with zero registry cells and a
+   zero mark, so a worker's raw values are already the delta its joiner
+   wants. *)
 let mark_key : stats Domain.DLS.key = Domain.DLS.new_key fresh_stats
-let base_key : stats Domain.DLS.key = Domain.DLS.new_key fresh_stats
 
 let stats () : stats = diff_stats (raw ()) (Domain.DLS.get mark_key)
 let reset_stats () = copy_into (Domain.DLS.get mark_key) (raw ())
-let lifetime () : stats = diff_stats (raw ()) (Domain.DLS.get base_key)
-
-let reset_lifetime () =
-  let r = raw () in
-  copy_into (Domain.DLS.get base_key) r;
-  copy_into (Domain.DLS.get mark_key) r
-
-(* Fold a worker domain's stats delta into this domain's lifetime (the
-   legacy join-barrier entry point; Parallel.Domainpool now absorbs
-   whole registry snapshots itself). Advancing the window mark by the
-   same delta keeps the absorption out of the current window,
-   preserving the old fold-into-lifetime-only semantics. *)
-let absorb_stats (delta : stats) =
-  M.add c_checks delta.checks;
-  M.add c_fast_path delta.fast_path;
-  M.add c_dpllt_iterations delta.dpllt_iterations;
-  M.add c_unknowns delta.unknowns;
-  M.add c_cache_hits delta.cache_hits;
-  M.add c_cache_misses delta.cache_misses;
-  M.add c_incremental_checks delta.incremental_checks;
-  M.add c_scratch_checks delta.scratch_checks;
-  M.add c_cert_checks delta.cert_checks;
-  M.add c_cert_failures delta.cert_failures;
-  add_stats ~into:(Domain.DLS.get mark_key) delta
+let lifetime () : stats = raw ()
 
 (* The budget in scope for this solver, if any. Scoped rather than
    threaded per-call: every branch decision and refinement obligation
@@ -198,19 +175,6 @@ let with_budget (b : Budget.t) (f : unit -> 'a) : 'a =
 (* Result cache                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The switch is Atomic so `set_caching false` on the main domain (the
-   bench's "seed-equivalent" mode) is observed by worker domains. *)
-let caching = Atomic.make true
-let set_caching b = Atomic.set caching b
-let caching_enabled () = Atomic.get caching
-
-(* Incremental-stack switch (on by default). When off, [Incremental]
-   checks degrade to monolithic [check]s of their full term list — the
-   pre-optimization behavior, kept for before/after measurement. *)
-let incremental = Atomic.make true
-let set_incremental b = Atomic.set incremental b
-let incremental_enabled () = Atomic.get incremental
-
 (* Certificate switch (on by default). When on and a validator is
    installed (see [Proof.set_validator] / [Cert.install]), every Sat and
    Unsat answer handed out — fresh, replayed from a cache, or served by
@@ -225,15 +189,14 @@ let certify_enabled () = Atomic.get certify
 
 (* Persistent-store hook (installed by Store.with_solver from lib/store,
    which sits above this library). Consulted ONLY on in-memory cache
-   misses — hits never pay for it — and only along the caching-enabled
-   paths, so disabling the result cache also disconnects the store.
-   [p_lookup] is handed the canonical term list of the query and is
-   expected to return nothing it cannot justify (the store re-validates
-   certificates on load and falls through to a fresh solve on any
-   failure); whatever it serves still passes this solver's own
-   [validate] gatekeeper before leaving. [p_save] receives only
-   Sat-with-model and Unsat-with-certificate answers; Unknown is never
-   persisted for the same reason it is never cached. *)
+   misses, so hits never pay for it. [p_lookup] is handed the canonical
+   term list of the query and is expected to return nothing it cannot
+   justify (the store re-validates certificates on load and falls
+   through to a fresh solve on any failure); whatever it serves still
+   passes this solver's own [validate] gatekeeper before leaving.
+   [p_save] receives only Sat-with-model and Unsat-with-certificate
+   answers; Unknown is never persisted for the same reason it is never
+   cached. *)
 type persist = {
   p_lookup : Term.t list -> (result * Proof.t option) option;
   p_save : Term.t list -> result * Proof.t option -> unit;
@@ -307,10 +270,6 @@ let literals_of_conjunction_src (ts : Term.t list) =
   List.iter (literal true) ts;
   (!atoms, !bools)
 
-let literals_of_conjunction (ts : Term.t list) =
-  let atoms, bools = literals_of_conjunction_src ts in
-  (List.map fst atoms, bools)
-
 let model_of_lia_model (m : Lia.model) bools =
   let base =
     Lia.String_map.fold (fun name n acc -> Model.add_int name n acc) m
@@ -365,9 +324,9 @@ let tree_of_lia_proof (atoms : Linear.atom array) (provs : Term.t array)
   try Some (conv p) with Fail -> None
 
 (* Decide a conjunction of theory atoms, consulting the memo table.
-   The conjunction is always solved in canonical (sorted+deduped) order
-   — caching on or off — so the model returned for a given atom set is
-   independent of assertion order and of which code path asked. Returns
+   The conjunction is always solved in canonical (sorted+deduped) order,
+   so the model returned for a given atom set is independent of
+   assertion order and of which code path asked. Returns
    the answer plus, for Unsat, a certificate anchored at this call's
    own source literals (cached proofs are index-based against the
    canonical key, so re-anchoring works on any hit). A [Cache_corrupt]
@@ -382,87 +341,79 @@ let lia_check_cached_atoms (atoms : (Linear.atom * Term.t) list) :
   let canon_atoms = Array.of_list (List.map (fun (_, (a, _)) -> a) keyed) in
   let provs = Array.of_list (List.map (fun (_, (_, src)) -> src) keyed) in
   let anchor p = Option.bind p (tree_of_lia_proof canon_atoms provs) in
-  let solve () =
-    match Lia.check_cert (Array.to_list canon_atoms) with
-    | Lia.Csat m -> (Lia.Sat m, None)
-    | Lia.Cunsat p -> (Lia.Unsat, p)
-    | Lia.Cunknown -> (Lia.Unknown, None)
-  in
-  if not (caching_enabled ()) then
-    let r, p = solve () in
-    (r, anchor p)
-  else begin
-    let key = List.map fst keyed in
-    let c = Domain.DLS.get cache_key in
-    match Hashtbl.find_opt c.lia key with
-    | Some (r, p) ->
-        M.incr c_cache_hits;
-        let r, p =
-          if Faultinject.fire Faultinject.Cache_corrupt then begin
-            let poisoned =
-              match r with
-              | Lia.Sat _ -> (Lia.Unsat, p)
-              | Lia.Unsat | Lia.Unknown ->
-                  (Lia.Sat Lia.String_map.empty, None)
-            in
-            Hashtbl.replace c.lia key poisoned;
-            poisoned
-          end
-          else (r, p)
-        in
-        (r, anchor p)
-    | None -> (
-        M.incr c_cache_misses;
-        (* In-memory miss: consult the persistent store, keyed by the
-           canonical source-literal terms (the key IS the query, so a
-           stored certificate is term-level and already anchored —
-           served hits bypass [anchor]). The in-memory table holds
-           index-based LIA proofs, so store hits are not inserted here;
-           the store's own domain-local memo makes repeats cheap. *)
-        let term_key = Array.to_list provs in
-        let stored =
-          match persist_installed () with
-          | None -> None
+  let key = List.map fst keyed in
+  let c = Domain.DLS.get cache_key in
+  match Hashtbl.find_opt c.lia key with
+  | Some (r, p) ->
+      M.incr c_cache_hits;
+      let r, p =
+        if Faultinject.fire Faultinject.Cache_corrupt then begin
+          let poisoned =
+            match r with
+            | Lia.Sat _ -> (Lia.Unsat, p)
+            | Lia.Unsat | Lia.Unknown -> (Lia.Sat Lia.String_map.empty, None)
+          in
+          Hashtbl.replace c.lia key poisoned;
+          poisoned
+        end
+        else (r, p)
+      in
+      (r, anchor p)
+  | None -> (
+      M.incr c_cache_misses;
+      (* In-memory miss: consult the persistent store, keyed by the
+         canonical source-literal terms (the key IS the query, so a
+         stored certificate is term-level and already anchored —
+         served hits bypass [anchor]). The in-memory table holds
+         index-based LIA proofs, so store hits are not inserted here;
+         the store's own domain-local memo makes repeats cheap. *)
+      let term_key = Array.to_list provs in
+      let stored =
+        match persist_installed () with
+        | None -> None
+        | Some ps -> (
+            match ps.p_lookup term_key with
+            | Some (Sat m, _) ->
+                let lm =
+                  List.fold_left
+                    (fun acc (name, v) ->
+                      match (v : Term.value) with
+                      | Term.VInt n -> Lia.String_map.add name n acc
+                      | Term.VBool _ -> acc)
+                    Lia.String_map.empty (Model.bindings m)
+                in
+                Some (Lia.Sat lm, None)
+            | Some (Unsat, Some (Proof.Unsat_witness tree)) ->
+                Some (Lia.Unsat, Some tree)
+            | Some _ | None -> None)
+      in
+      match stored with
+      | Some rt -> rt
+      | None ->
+          let r, p =
+            match Lia.check_cert (Array.to_list canon_atoms) with
+            | Lia.Csat m -> (Lia.Sat m, None)
+            | Lia.Cunsat p -> (Lia.Unsat, p)
+            | Lia.Cunknown -> (Lia.Unknown, None)
+          in
+          (match r with
+          | Lia.Unknown -> ()
+          | _ ->
+              if Hashtbl.length c.lia >= cache_limit then Hashtbl.reset c.lia;
+              Hashtbl.add c.lia key (r, p));
+          let anchored = anchor p in
+          (match persist_installed () with
+          | None -> ()
           | Some ps -> (
-              match ps.p_lookup term_key with
-              | Some (Sat m, _) ->
-                  let lm =
-                    List.fold_left
-                      (fun acc (name, v) ->
-                        match (v : Term.value) with
-                        | Term.VInt n -> Lia.String_map.add name n acc
-                        | Term.VBool _ -> acc)
-                      Lia.String_map.empty (Model.bindings m)
-                  in
-                  Some (Lia.Sat lm, None)
-              | Some (Unsat, Some (Proof.Unsat_witness tree)) ->
-                  Some (Lia.Unsat, Some tree)
-              | Some _ | None -> None)
-        in
-        match stored with
-        | Some rt -> rt
-        | None ->
-            let r, p = solve () in
-            (match r with
-            | Lia.Unknown -> ()
-            | _ ->
-                if Hashtbl.length c.lia >= cache_limit then Hashtbl.reset c.lia;
-                Hashtbl.add c.lia key (r, p));
-            let anchored = anchor p in
-            (match persist_installed () with
-            | None -> ()
-            | Some ps -> (
-                match (r, anchored) with
-                | Lia.Sat m, _ ->
-                    let model = model_of_lia_model m [] in
-                    ps.p_save term_key
-                      (Sat model, Some (Proof.Model_witness model))
-                | Lia.Unsat, Some t ->
-                    ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
-                | Lia.Unsat, None | Lia.Unknown, _ -> ()))
-            ;
-            (r, anchored))
-  end
+              match (r, anchored) with
+              | Lia.Sat m, _ ->
+                  let model = model_of_lia_model m [] in
+                  ps.p_save term_key
+                    (Sat model, Some (Proof.Model_witness model))
+              | Lia.Unsat, Some t ->
+                  ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
+              | Lia.Unsat, None | Lia.Unknown, _ -> ()));
+          (r, anchored))
 
 (* A disequality between identical linear forms (x+y ≠ y+x) is false,
    but no certificate can say so: the checker splits a disequality only
@@ -523,29 +474,6 @@ let check_fast_cert (ts : Term.t list) : (result * Proof.t option) option =
               (Unsat, Option.map (fun t -> Proof.Unsat_witness t) tree)
           | Lia.Unknown, _ -> (Unknown, None))
 
-let check_fast (ts : Term.t list) : result option =
-  Option.map fst (check_fast_cert ts)
-
-(* Presolve switch (on by default). Interval bound propagation + gcd
-   coefficient tightening over the query's unit literal conjuncts
-   (Lia.presolve) runs before CNF conversion reaches the SAT core: a
-   refuted box answers Unsat with zero DPLL(T) iterations, a feasible
-   one seeds entailed theory atoms as unit clauses on the trail. Off =
-   the pre-optimization behavior, kept for before/after measurement. *)
-let presolve = Atomic.make true
-let set_presolve b = Atomic.set presolve b
-let presolve_enabled () = Atomic.get presolve
-
-(* Clause-learning switch (on by default). When off, the DPLL(T) loop
-   reverts to the legacy discipline: every theory refutation blocks the
-   *full* assignment and the SAT search restarts from scratch, instead
-   of learning just the theory conflict core in a persistent solver. *)
-let learning = Atomic.make true
-let set_learning b = Atomic.set learning b
-let learning_enabled () = Atomic.get learning
-
-let c_presolve_pruned = M.counter "presolve.pruned"
-
 (* Hard backstop for the refutation loop when no budget is in scope.
    With a budget, the solver-steps limit governs the loop instead:
    every re-iteration charges [Budget.tick_solver], so `--solver-steps`
@@ -554,165 +482,87 @@ let c_presolve_pruned = M.counter "presolve.pruned"
    reason rather than a bare Unknown. *)
 let max_dpllt_iterations = 100_000
 
-(* The linear atoms among the top-level *unit* conjuncts of [t] — the
-   part of a general-boolean query that holds unconditionally, which is
-   what presolve may propagate from. *)
-let unit_atoms_of (t : Term.t) : Linear.atom list =
-  let conjs = match t with Term.And ts -> ts | t -> [ t ] in
-  List.concat_map
-    (fun c ->
-      match literals_of_conjunction_src [ c ] with
-      | atoms, _ -> List.map fst atoms
-      | exception Not_conjunctive -> []
-      | exception Linear.Nonlinear _ -> [])
-    conjs
-
+(* Lazy DPLL(T) over one persistent CDCL solver: each theory refutation
+   of a propositional model is learned in place as a clause over the
+   refutation's conflict core, and the search resumes with its trail
+   and learned clauses intact. *)
 let check_dpllt (t : Term.t) : result =
   match Cnf.of_term t with
   | exception Linear.Nonlinear _ -> Unknown
-  | cnf -> (
-      let presolved =
-        if not (presolve_enabled ()) then None
-        else
-          match unit_atoms_of t with
-          | [] -> None
-          | units -> Some (Lia.presolve units)
-      in
-      match presolved with
-      | Some (Lia.Punsat _) ->
-          (* The unit conjuncts alone are contradictory — certified by
-             [Lia.check_cert] on the support core inside presolve, and
-             re-derived independently by [certify_unsat_general] before
-             this answer is served. The SAT core is never built. *)
-          M.incr c_presolve_pruned;
-          Unsat
-      | None | Some (Lia.Pfeasible _) ->
-          let box =
-            match presolved with Some (Lia.Pfeasible b) -> Some b | _ -> None
-          in
-          let learning = learning_enabled () in
-          (* Theory atoms entailed one way or the other by the unit
-             conjuncts' bound box become unit clauses seeding the
-             trail: sound because the unit conjuncts are part of the
-             formula, and cheap because the box is already computed. *)
-          let seed_units sat =
-            match box with
-            | None -> ()
-            | Some box ->
-                List.iter
-                  (fun (v, kind) ->
-                    match kind with
-                    | Cnf.Bool_atom _ -> ()
-                    | Cnf.Theory_atom term -> (
-                        match Linear.atom_of_term term with
-                        | Some atom -> (
-                            match Lia.entailed box atom with
-                            | Some true -> Sat.add_clause sat [ v ]
-                            | Some false -> Sat.add_clause sat [ -v ]
-                            | None -> ())
-                        | None -> ()
-                        | exception Linear.Nonlinear _ -> ()))
-                  cnf.Cnf.atoms
-          in
-          let fresh_sat extra =
-            let sat = Sat.create ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses in
-            seed_units sat;
-            List.iter (Sat.add_clause sat) extra;
-            sat
-          in
-          (* Blocking clauses accumulated for legacy scratch re-solves
-             (learning off); unused when the persistent core learns. *)
-          let blocked = ref [] in
-          let rec loop n sat =
-            if n > max_dpllt_iterations then Unknown
-            else begin
-              (* A divergent refutation loop must honor the budget:
-                 each re-iteration is a solver step (and tick_solver
-                 checks the deadline), so a runaway refinement is cut
-                 off with a machine-readable reason. *)
-              (match !(current_budget ()) with
-              | Some b -> if n = 0 then Budget.check_deadline b else Budget.tick_solver b
-              | None -> ());
-              M.incr c_dpllt_iterations;
-              match Sat.solve sat with
-              | Sat.Unsat ->
-                  (* Trust the SAT-level Unsat only once every learned
-                     clause's resolution chain — and the empty clause's
-                     final derivation — replays against the clause
-                     store. A tampered clause (Conflict_corrupt) fails
-                     here and the answer degrades, never flips. *)
-                  if (not (certify_enabled ())) || Sat.validate sat then Unsat
+  | cnf ->
+      let sat = Sat.create ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses in
+      let rec loop n =
+        if n > max_dpllt_iterations then Unknown
+        else begin
+          (* A divergent refutation loop must honor the budget: each
+             re-iteration is a solver step (and tick_solver checks the
+             deadline), so a runaway refinement is cut off with a
+             machine-readable reason. *)
+          (match !(current_budget ()) with
+          | Some b -> if n = 0 then Budget.check_deadline b else Budget.tick_solver b
+          | None -> ());
+          M.incr c_dpllt_iterations;
+          match Sat.solve sat with
+          | Sat.Unsat ->
+              (* Trust the SAT-level Unsat only once every learned
+                 clause's resolution chain — and the empty clause's
+                 final derivation — replays against the clause store. A
+                 tampered clause (Conflict_corrupt) fails here and the
+                 answer degrades, never flips. *)
+              if (not (certify_enabled ())) || Sat.validate sat then Unsat
+              else begin
+                M.incr c_cert_failures;
+                Trace.event "cert.invalid"
+                  ~attrs:[ ("reason", "learned-clause chain replay failed") ];
+                Unknown
+              end
+          | Sat.Sat assignment -> (
+              (* Gather theory literals implied by this assignment. *)
+              let theory_lits = ref [] and bools = ref [] in
+              List.iter
+                (fun (v, kind) ->
+                  match kind with
+                  | Cnf.Bool_atom name ->
+                      if name <> "$true" then
+                        bools := (name, assignment.(v)) :: !bools
+                  | Cnf.Theory_atom term -> (
+                      match Linear.atom_of_term term with
+                      | Some atom ->
+                          let atom =
+                            if assignment.(v) then atom
+                            else Linear.negate_atom atom
+                          in
+                          theory_lits := (v, assignment.(v), atom) :: !theory_lits
+                      | None -> Term.sort_error "solver: non-linear theory atom"))
+                cnf.Cnf.atoms;
+              let atoms = List.map (fun (_, _, a) -> a) !theory_lits in
+              match Lia.check_cert atoms with
+              | Lia.Csat m -> Sat (model_of_lia_model m !bools)
+              | Lia.Cunknown -> Unknown
+              | Lia.Cunsat proof ->
+                  (* Learn the theory conflict *core* — the atoms the
+                     refutation proof actually cites — so one theory
+                     conflict prunes every assignment that shares it,
+                     not just this one. Falls back to the full
+                     assignment when no core is available. *)
+                  let lits =
+                    match Option.map Lia.proof_atoms proof with
+                    | Some (_ :: _ as core) ->
+                        let arr = Array.of_list !theory_lits in
+                        List.map (fun i -> arr.(i)) core
+                    | Some [] | None -> !theory_lits
+                  in
+                  let blocking =
+                    List.map (fun (v, value, _) -> if value then -v else v) lits
+                  in
+                  if blocking = [] then Unsat
                   else begin
-                    M.incr c_cert_failures;
-                    Trace.event "cert.invalid"
-                      ~attrs:
-                        [ ("reason", "learned-clause chain replay failed") ];
-                    Unknown
-                  end
-              | Sat.Sat assignment -> (
-                  (* Gather theory literals implied by this assignment. *)
-                  let theory_lits = ref [] and bools = ref [] in
-                  List.iter
-                    (fun (v, kind) ->
-                      match kind with
-                      | Cnf.Bool_atom name ->
-                          if name <> "$true" then
-                            bools := (name, assignment.(v)) :: !bools
-                      | Cnf.Theory_atom term -> (
-                          match Linear.atom_of_term term with
-                          | Some atom ->
-                              let atom =
-                                if assignment.(v) then atom
-                                else Linear.negate_atom atom
-                              in
-                              theory_lits := (v, assignment.(v), atom) :: !theory_lits
-                          | None -> Term.sort_error "solver: non-linear theory atom"))
-                    cnf.Cnf.atoms;
-                  let atoms = List.map (fun (_, _, a) -> a) !theory_lits in
-                  match Lia.check_cert atoms with
-                  | Lia.Csat m -> Sat (model_of_lia_model m !bools)
-                  | Lia.Cunknown -> Unknown
-                  | Lia.Cunsat proof ->
-                      (* Block the theory conflict *core* — the atoms
-                         the refutation proof actually cites — so one
-                         theory conflict prunes every assignment that
-                         shares it, not just this one. Falls back to
-                         the full assignment when no core is available
-                         (or learning is off). *)
-                      let full_blocking () =
-                        List.map
-                          (fun (v, value, _) -> if value then -v else v)
-                          !theory_lits
-                      in
-                      let blocking =
-                        match
-                          if learning then Option.map Lia.proof_atoms proof
-                          else None
-                        with
-                        | Some (_ :: _ as core) ->
-                            let arr = Array.of_list !theory_lits in
-                            List.map
-                              (fun i ->
-                                let v, value, _ = arr.(i) in
-                                if value then -v else v)
-                              core
-                        | Some [] | None -> full_blocking ()
-                      in
-                      if blocking = [] then Unsat
-                      else if learning then begin
-                        (* Persistent core: the theory lemma is learned
-                           in place, the search resumes with its trail
-                           and learned clauses intact. *)
-                        Sat.add_clause sat blocking;
-                        loop (n + 1) sat
-                      end
-                      else begin
-                        blocked := blocking :: !blocked;
-                        loop (n + 1) (fresh_sat (List.rev !blocked))
-                      end)
-            end
-          in
-          loop 0 (fresh_sat []))
+                    Sat.add_clause sat blocking;
+                    loop (n + 1)
+                  end)
+        end
+      in
+      loop 0
 
 (* Certifying re-derivation of a general-path Unsat answer as a split
    tree — the SAT-level "resolution skeleton". Rather than instrument
@@ -843,64 +693,58 @@ let want_cert () = certify_enabled () && Proof.validator () <> None
    [Cache_corrupt] fault poisons the stored entry on a hit (the
    corrupted pair keeps being replayed until validation rejects it). *)
 let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
-  let with_cert key r =
-    match r with
-    | Sat m -> (r, Some (Proof.Model_witness m))
-    | Unsat when want_cert () ->
-        ( r,
-          Option.map
-            (fun t -> Proof.Unsat_witness t)
-            (certify_unsat_general key) )
-    | Unsat | Unknown -> (r, None)
-  in
-  if not (caching_enabled ()) then with_cert ts (check_dpllt (Term.and_ ts))
-  else begin
-    let key = List.sort_uniq compare ts in
-    let c = Domain.DLS.get cache_key in
-    match Hashtbl.find_opt c.full key with
-    | Some (r, p) ->
-        M.incr c_cache_hits;
-        if Faultinject.fire Faultinject.Cache_corrupt then begin
-          let poisoned =
-            match r with
-            | Sat _ -> (Unsat, p)
-            | Unsat | Unknown -> (Sat Model.empty, None)
-          in
-          Hashtbl.replace c.full key poisoned;
-          poisoned
-        end
-        else (r, p)
-    | None ->
-        M.incr c_cache_misses;
-        (* In-memory miss: consult the persistent store first. The key
-           is the canonical term list, so stored certificates are
-           term-level; a served answer is inserted into the in-memory
-           table like a fresh one (and still passes [validate] on the
-           way out). *)
-        let served, rp =
-          match persist_installed () with
-          | None -> (false, None)
-          | Some ps -> (
-              match ps.p_lookup key with
-              | Some rp -> (true, Some rp)
-              | None -> (false, None))
+  let key = List.sort_uniq compare ts in
+  let c = Domain.DLS.get cache_key in
+  match Hashtbl.find_opt c.full key with
+  | Some (r, p) ->
+      M.incr c_cache_hits;
+      if Faultinject.fire Faultinject.Cache_corrupt then begin
+        let poisoned =
+          match r with
+          | Sat _ -> (Unsat, p)
+          | Unsat | Unknown -> (Sat Model.empty, None)
         in
-        let rp =
-          match rp with
-          | Some rp -> rp
-          | None -> with_cert key (check_dpllt (Term.and_ key))
-        in
-        (match fst rp with
-        | Unknown -> ()
-        | _ ->
-            if Hashtbl.length c.full >= cache_limit then Hashtbl.reset c.full;
-            Hashtbl.add c.full key rp;
-            if not served then
-              match persist_installed () with
-              | None -> ()
-              | Some ps -> ps.p_save key rp);
-        rp
-  end
+        Hashtbl.replace c.full key poisoned;
+        poisoned
+      end
+      else (r, p)
+  | None ->
+      M.incr c_cache_misses;
+      (* In-memory miss: consult the persistent store first. The key is
+         the canonical term list, so stored certificates are term-level;
+         a served answer is inserted into the in-memory table like a
+         fresh one (and still passes [validate] on the way out). *)
+      let served, rp =
+        match persist_installed () with
+        | None -> (false, None)
+        | Some ps -> (
+            match ps.p_lookup key with
+            | Some rp -> (true, Some rp)
+            | None -> (false, None))
+      in
+      let rp =
+        match rp with
+        | Some rp -> rp
+        | None -> (
+            match check_dpllt (Term.and_ key) with
+            | Sat m as r -> (r, Some (Proof.Model_witness m))
+            | Unsat when want_cert () ->
+                ( Unsat,
+                  Option.map
+                    (fun t -> Proof.Unsat_witness t)
+                    (certify_unsat_general key) )
+            | (Unsat | Unknown) as r -> (r, None))
+      in
+      (match fst rp with
+      | Unknown -> ()
+      | _ ->
+          if Hashtbl.length c.full >= cache_limit then Hashtbl.reset c.full;
+          Hashtbl.add c.full key rp;
+          if not served then
+            match persist_installed () with
+            | None -> ()
+            | Some ps -> ps.p_save key rp);
+      rp
 
 (* Shared per-query prologue: charge the budget in scope and give the
    fault plan its arrival. Returns [true] when an Unknown answer was
@@ -975,7 +819,6 @@ let check (ts : Term.t list) : result =
   in
   record_result r
 
-let is_sat ts = match check ts with Sat _ -> true | Unsat | Unknown -> false
 let is_unsat ts = match check ts with Unsat -> true | Sat _ | Unknown -> false
 
 type entailment = Valid | Counterexample of Model.t | Unknown_validity
@@ -992,9 +835,6 @@ let entails ~hyps goal =
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* The toplevel monolithic check, before [check] is shadowed below. *)
-  let check_top = check
-
   (* A stack of frames mirroring a path condition. Each frame holds the
      analysis (theory atoms + boolean literals) of the terms asserted at
      that level, so extending the path by one branch decision analyzes
@@ -1075,7 +915,7 @@ module Incremental = struct
         Unsat
     | r -> r
 
-  let solve (s : t) : result =
+  let check (s : t) : result =
     let r =
       if begin_check () then Unknown
       else
@@ -1114,9 +954,6 @@ module Incremental = struct
     in
     record_result r
 
-  let check (s : t) : result =
-    if incremental_enabled () then solve s else check_top (terms s)
-
   (* Decide the satisfiability of path condition [pc] (a cons list,
      newest literal first), syncing the stack to it first. Frames are
      keyed by the physical identity of the pc cons cells: the symbolic
@@ -1126,8 +963,6 @@ module Incremental = struct
      shared prefix keeps the whole prefix warm. *)
   let check_pc (s : t) (pc : Term.t list) : result =
     M.observe h_pc_depth (float_of_int (List.length pc));
-    if not (incremental_enabled ()) then check_top pc
-    else begin
     (* The set of tails of [pc], physically. *)
     let tails =
       let rec go acc l =
@@ -1154,8 +989,7 @@ module Incremental = struct
             s.frames <- f :: s.frames
     in
     if pc != synced then extend pc;
-    solve s
-    end
+    check s
 
   let entails (s : t) ~hyps goal =
     match check_pc s (Term.not_ goal :: hyps) with

@@ -6,11 +6,14 @@
 
    - conjunctions of literals (the overwhelmingly common case — path
      conditions) go straight to the LIA procedure;
-   - arbitrary boolean structure goes through Tseitin CNF + DPLL, with
-     theory-refuted assignments blocked by clauses until convergence.
+   - arbitrary boolean structure goes through Tseitin CNF into one
+     persistent CDCL solver, which learns each theory refutation's
+     conflict core as a clause until convergence.
 
    A domain-local result cache (canonical-conjunction → result memo) and
-   an incremental assertion stack sit on top; see [Incremental]. *)
+   an incremental assertion stack sit on top; see [Incremental]. Both
+   are always on, and the persistent store plugs in below the cache.
+   Certificate validation ([set_certify]) is the one switch. *)
 
 type result = Sat of Model.t | Unsat | Unknown
 
@@ -28,33 +31,19 @@ type stats = {
 }
 
 (* The counters live in the metrics registry (lib/trace) under the
-   "solver.*" names, domain-local as before; the record is a snapshot
-   view over them. [stats ()] is the window since the last
-   [reset_stats]; [lifetime ()] the total since the last
-   [reset_lifetime] (both per-domain). [absorb_stats] folds a worker's
-   delta into the calling domain's registry cells without disturbing
-   its current window — the legacy join-barrier entry point
-   (Parallel.Domainpool now absorbs whole registry snapshots itself). *)
+   "solver.*" names, domain-local; the record is a snapshot view over
+   them. [stats ()] is the window since the last [reset_stats];
+   [lifetime ()] the domain's whole total (Parallel.Domainpool absorbs
+   worker registry snapshots at the join barrier). *)
 val stats : unit -> stats
 val reset_stats : unit -> unit
 val lifetime : unit -> stats
-val reset_lifetime : unit -> unit
-val absorb_stats : stats -> unit
 val add_stats : into:stats -> stats -> unit
 val diff_stats : stats -> stats -> stats
 
-(* Result-cache switch (on by default). Atomic: flipping it on the main
-   domain is observed by workers. The caches themselves are domain-local;
-   Unknown answers are never cached. *)
-val set_caching : bool -> unit
-val caching_enabled : unit -> bool
+(* Drop this domain's result caches (Unknown answers are never cached),
+   so benchmarks and tests can measure from a cold start. *)
 val clear_caches : unit -> unit
-
-(* Incremental-stack switch (on by default). When off, [Incremental]
-   checks degrade to monolithic [check]s of their full term list — the
-   pre-optimization behavior, kept for before/after measurement. *)
-val set_incremental : bool -> unit
-val incremental_enabled : unit -> bool
 
 (* Certificate switch (on by default). When on and a validator is
    installed ([Proof.set_validator], done by [Cert.install]), every Sat
@@ -66,29 +55,13 @@ val incremental_enabled : unit -> bool
 val set_certify : bool -> unit
 val certify_enabled : unit -> bool
 
-(* Theory-aware presolve switch (on by default). Interval bound
-   propagation + gcd coefficient tightening over a general query's unit
-   literal conjuncts: a refuted box answers Unsat before the SAT core
-   is even built (counted in the `presolve.pruned` registry counter), a
-   feasible one seeds entailed theory atoms as unit clauses on the
-   trail. Off = the pre-optimization behavior, for measurement. *)
-val set_presolve : bool -> unit
-val presolve_enabled : unit -> bool
-
-(* Clause-learning switch (on by default). When off, the DPLL(T) loop
-   reverts to the legacy discipline — each theory refutation blocks the
-   full assignment and the SAT search restarts from scratch — instead
-   of learning the theory conflict core in a persistent CDCL solver. *)
-val set_learning : bool -> unit
-val learning_enabled : unit -> bool
-
 (* Persistent-store hook (installed by [Store.with_solver] in lib/store,
    which sits above this library). Consulted only on in-memory cache
-   misses, and only along the caching-enabled paths. [p_lookup] gets
-   the canonical term list of a query and must return nothing it cannot
-   justify — the store re-validates certificates on load and falls
-   through to a fresh solve on any failure; whatever it serves still
-   passes the solver's own [validate] gatekeeper. [p_save] receives
+   misses. [p_lookup] gets the canonical term list of a query and must
+   return nothing it cannot justify — the store re-validates
+   certificates on load and falls through to a fresh solve on any
+   failure; whatever it serves still passes the solver's own [validate]
+   gatekeeper. [p_save] receives
    Sat-with-model and Unsat-with-certificate answers only; Unknown is
    never persisted. Atomic: installing on the main domain is observed
    by parallel workers. *)
@@ -106,37 +79,17 @@ val persist_installed : unit -> persist option
 val current_budget : unit -> Budget.t option ref
 val with_budget : Budget.t -> (unit -> 'a) -> 'a
 
-exception Not_conjunctive
-
-val literals_of_conjunction :
-  Term.t list -> Linear.atom list * (string * bool) list
-
-(* Like [literals_of_conjunction], but each atom keeps its source
-   literal (the asserted term, negated for negative occurrences) so
-   certificates can cite it as a fact. *)
-val literals_of_conjunction_src :
-  Term.t list -> (Linear.atom * Term.t) list * (string * bool) list
-
-val model_of_lia_model :
-  Lia.model ->
-  (Model.String_map.key * bool) list ->
-  Term.value Model.String_map.t
-
-val check_fast : Term.t list -> result option
-
-(* Backstop iteration cap for the DPLL(T) refutation loop when no
-   budget is in scope (a bare cap hit answers Unknown). With a budget,
-   each loop re-iteration charges one solver step, so `--solver-steps`
-   governs the loop and a cap hit surfaces as the machine-readable
-   [Budget.Solver_steps_exhausted] Inconclusive reason. *)
-val max_dpllt_iterations : int
+(* Lazy DPLL(T) on one term, uncached. With a budget in scope, each
+   refutation-loop re-iteration charges one solver step, so
+   `--solver-steps` governs the loop and a cap hit surfaces as the
+   machine-readable [Budget.Solver_steps_exhausted] Inconclusive
+   reason. *)
 val check_dpllt : Term.t -> result
 
 (* The certificate-producing core (no budget charge, no validation):
    exposed for the certificate test-suite. *)
 val check_core_cert : Term.t list -> result * Proof.t option
 val check : Term.t list -> result
-val is_sat : Term.t list -> bool
 val is_unsat : Term.t list -> bool
 
 type entailment = Valid | Counterexample of Model.t | Unknown_validity

@@ -1,7 +1,8 @@
 (* Seeded solver-fuzz smoke battery: random CNFs through the CDCL core
    against a brute-force reference evaluator, random LIA conjunctions
-   through presolve + branch-and-bound, and random boolean-structure
-   terms through the DPLL(T) loop with learning/presolve on vs. off.
+   through branch-and-bound, and random boolean-structure terms through
+   the DPLL(T) loop, judged by the independent certificate checker and
+   a brute-force evaluator.
 
    Deterministic: every case is a pure function of (seed, index), so a
    failure replays with the same arguments. Usage:
@@ -113,7 +114,7 @@ let lia_brute_sat atoms =
 let lia_case i =
   let atoms = List.init (range 1 6) (fun _ -> gen_atom ()) in
   let env_of m k = Option.value ~default:0 (Lia.String_map.find_opt k m) in
-  (match Lia.check atoms with
+  match Lia.check atoms with
   | Lia.Sat m ->
       if not (List.for_all (Linear.eval_atom (env_of m)) atoms) then
         fail i "LIA model does not satisfy the conjunction" (print_atoms atoms)
@@ -121,12 +122,7 @@ let lia_case i =
       if lia_brute_sat atoms then
         fail i "LIA answered Unsat on a satisfiable conjunction"
           (print_atoms atoms)
-  | Lia.Unknown -> ());
-  match Lia.presolve atoms with
-  | Lia.Punsat _ ->
-      if lia_brute_sat atoms then
-        fail i "presolve pruned a satisfiable conjunction" (print_atoms atoms)
-  | Lia.Pfeasible _ -> ()
+  | Lia.Unknown -> ()
 
 (* ---- DPLL(T) leg ------------------------------------------------- *)
 
@@ -177,25 +173,13 @@ let term_brute_sat t =
         dom)
     dom
 
-let status = function
-  | Solver.Sat _ -> "sat"
-  | Solver.Unsat -> "unsat"
-  | Solver.Unknown -> "unknown"
+(* The checker must be installed for the solver to emit general-path
+   Unsat certificates. *)
+let () = Cert.install ()
 
 let dpllt_case i =
   let t = gen_term () in
-  let cdcl = Solver.check_dpllt t in
-  Solver.set_presolve false;
-  Solver.set_learning false;
-  let old = Solver.check_dpllt t in
-  Solver.set_presolve true;
-  Solver.set_learning true;
-  if not (String.equal (status cdcl) (status old)) then
-    fail i
-      (Printf.sprintf "CDCL verdict %s differs from legacy %s" (status cdcl)
-         (status old))
-      (Term.to_string t);
-  match cdcl with
+  (match Solver.check_dpllt t with
   | Solver.Sat m ->
       if not (Model.satisfies m t) then
         fail i "DPLL(T) model does not satisfy the term" (Term.to_string t)
@@ -203,7 +187,16 @@ let dpllt_case i =
       if term_brute_sat t then
         fail i "DPLL(T) answered Unsat on a satisfiable term"
           (Term.to_string t)
-  | Solver.Unknown -> ()
+  | Solver.Unknown -> ());
+  match Solver.check_core_cert [ t ] with
+  | Solver.Unsat, Some (Proof.Unsat_witness tree) -> (
+      match Cert.validate_unsat [ t ] tree with
+      | Proof.Valid -> ()
+      | Proof.Invalid why ->
+          fail i ("Unsat certificate rejected: " ^ why) (Term.to_string t))
+  | Solver.Unsat, _ ->
+      fail i "Unsat answer without a certificate" (Term.to_string t)
+  | (Solver.Sat _ | Solver.Unknown), _ -> ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -215,6 +208,6 @@ let () =
     | _ -> dpllt_case i
   done;
   Printf.printf
-    "fuzz_solver: %d cases clean (seed %d): CNF vs reference, LIA + \
-     presolve, DPLL(T) CDCL vs legacy\n"
+    "fuzz_solver: %d cases clean (seed %d): CNF vs reference, LIA vs \
+     reference, DPLL(T) vs certificate checker and reference\n"
     !cases !seed

@@ -283,23 +283,6 @@ let test_check_pc_walk_regression () =
   check_bool "Unsat without the uncertifiable literal" true
     (same_verdict (Solver.check pc) Solver.Unsat)
 
-(* The stack must stay correct with the optimization switched off (the
-   benchmark's seed-equivalent mode falls back to monolithic checks). *)
-let test_incremental_switch () =
-  let s = Solver.Incremental.create () in
-  let pc = [ Term.le x (Term.int 3); Term.le (Term.int 1) x ] in
-  Solver.set_incremental false;
-  let off = Solver.Incremental.check_pc s pc in
-  Solver.set_incremental true;
-  let on_ = Solver.Incremental.check_pc s pc in
-  check_bool "verdicts agree across the incremental switch" true
-    (same_verdict off on_);
-  Solver.set_caching false;
-  let uncached = Solver.Incremental.check_pc s pc in
-  Solver.set_caching true;
-  check_bool "verdicts agree across the caching switch" true
-    (same_verdict uncached on_)
-
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -386,8 +369,6 @@ let () =
         qcheck
           [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
         @ [
-            Alcotest.test_case "switches preserve verdicts" `Quick
-              test_incremental_switch;
             Alcotest.test_case "check_pc walk with an uncertifiable literal"
               `Quick test_check_pc_walk_regression;
           ] );

@@ -216,6 +216,25 @@ let test_lia_system () =
         (xv + yv <= 5 && xv - yv >= 3 && yv >= 1)
   | _ -> Alcotest.fail "should be sat"
 
+(* 2x = −1 ∧ x = y + z: the equality alone refutes it, but branching on
+   y or z first never ends (each split leaves a fractional partner). The
+   verdict and its proof must not depend on the order of the atoms. *)
+let test_lia_branch_order () =
+  let two_x = Term.eq (Term.mul_const 2 x) (Term.int (-1)) in
+  let sum = Term.eq x (Term.add [ y; z ]) in
+  List.iter
+    (fun (name, ts) ->
+      (match Lia.check_cert (List.map atom ts) with
+      | Lia.Cunsat (Some _) -> ()
+      | _ -> Alcotest.failf "%s: Lia must answer Unsat with a proof" name);
+      match Solver.check_core_cert ts with
+      | Solver.Unsat, Some (Proof.Unsat_witness tree) -> (
+          match Cert.validate_unsat ts tree with
+          | Proof.Valid -> ()
+          | Proof.Invalid why -> Alcotest.failf "%s: cert rejected: %s" name why)
+      | _ -> Alcotest.failf "%s: expected a certified Unsat" name)
+    [ ("2x=-1 first", [ two_x; sum ]); ("x=y+z first", [ sum; two_x ]) ]
+
 (* ------------------------------------------------------------------ *)
 (* Solver                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -397,6 +416,8 @@ let () =
           Alcotest.test_case "integrality" `Quick test_lia_integrality;
           Alcotest.test_case "disequality splitting" `Quick test_lia_neq;
           Alcotest.test_case "system" `Quick test_lia_system;
+          Alcotest.test_case "branching is atom-order independent" `Quick
+            test_lia_branch_order;
         ] );
       ( "solver",
         [

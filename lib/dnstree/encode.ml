@@ -187,9 +187,8 @@ let decode_section (t : t) (count : Value.mval) (cells : Value.mval) :
       List.init (as_int count) (fun i -> decode_rr t arr.(i))
   | mv -> decode_error "malformed section %a" Value.pp_mval mv
 
-let decode_response (t : t) (mem : Value.memory) (resp : Value.ptr) :
-    Dns.Message.response =
-  match Value.load_mval mem resp with
+let decode_response_mval (t : t) (resp : Value.mval) : Dns.Message.response =
+  match resp with
   | Value.MStruct
       [| rcode; aa; nans; answer; nauth; authority; nadd; additional |] ->
       let rcode =
@@ -205,3 +204,6 @@ let decode_response (t : t) (mem : Value.memory) (resp : Value.ptr) :
         additional = decode_section t nadd additional;
       }
   | mv -> decode_error "malformed Response %a" Value.pp_mval mv
+
+let decode_response (t : t) (mem : Value.memory) (resp : Value.ptr) =
+  decode_response_mval t (Value.load_mval mem resp)

@@ -33,4 +33,6 @@ val as_int : Value.mval -> int
 val as_bool : Value.mval -> bool
 val decode_rr : t -> Value.mval -> Rr.t
 val decode_section : t -> Value.mval -> Value.mval -> Rr.t list
+(* A Response block's value, e.g. read out of an interpreter overlay. *)
+val decode_response_mval : t -> Value.mval -> Dns.Message.response
 val decode_response : t -> Value.memory -> Value.ptr -> Dns.Message.response

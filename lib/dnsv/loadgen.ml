@@ -112,12 +112,15 @@ let run ?(zone = Spec.Fixtures.reference_zone) (transport : transport) (m : mix)
   let after = Trace.Metrics.snapshot () in
   (* The reported percentile is [hist_quantile]'s bucket upper edge;
      the paired lower edge makes the power-of-two bucketing's error
-     bound explicit — the true quantile lies in (lo, hi]. *)
+     bound explicit — the true quantile lies in (lo, hi]. No latency
+     exceeds the measured max, so both edges are clamped to it. *)
   let quantile q =
     match
       Trace.Metrics.get_hist (Trace.Metrics.diff after before) "loadgen.latency_ms"
     with
-    | Some h -> Trace.Metrics.hist_quantile_bounds h q
+    | Some h ->
+        let lo, hi = Trace.Metrics.hist_quantile_bounds h q in
+        (Float.min lo !max_ms, Float.min hi !max_ms)
     | None -> (0.0, 0.0)
   in
   let p50_lo, p50 = quantile 0.5 in

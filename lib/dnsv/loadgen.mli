@@ -48,7 +48,8 @@ type result = {
   (* Power-of-two-bucket quantile error bounds: each percentile above
      is its bucket's upper edge, and the true quantile lies in
      (lo, hi] — at most a factor of two wide. Reported so bucket-edge
-     percentiles never read as exact. *)
+     percentiles never read as exact. Every edge is clamped to
+     [lg_max_ms], so no percentile reads above the slowest reply. *)
   lg_p50_lo_ms : float;
   lg_p90_lo_ms : float;
   lg_p99_lo_ms : float;

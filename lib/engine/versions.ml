@@ -82,6 +82,40 @@ type run_outcome =
   | Response of Message.response
   | Engine_panic of string
 
+(* The compile memo, per config. It is domain-local so parallel
+   pipeline workers never race on the table; each worker compiles a
+   version at most once. Next to each program it holds the program's
+   resolved form, built on first use, so that [compiled] (cold verify's
+   set-up) never pays for it. *)
+type compiled_entry = {
+  prog : Minir.Instr.program;
+  code : Minir.Code.t Lazy.t;
+}
+
+let compiled_cache_key : (string, compiled_entry) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let compiled (cfg : Builder.config) : Minir.Instr.program =
+  let compiled_cache = Domain.DLS.get compiled_cache_key in
+  match Hashtbl.find_opt compiled_cache cfg.Builder.version with
+  | Some e -> e.prog
+  | None ->
+      let prog = Builder.compile cfg in
+      Hashtbl.replace compiled_cache cfg.Builder.version
+        { prog; code = lazy (Minir.Code.of_program prog) };
+      prog
+
+(* The resolved form of [prog]: the memo's when [prog] came from
+   [compiled] on this domain, else resolved afresh. *)
+let code (prog : Minir.Instr.program) : Minir.Code.t =
+  match
+    Seq.find
+      (fun e -> e.prog == prog)
+      (Hashtbl.to_seq_values (Domain.DLS.get compiled_cache_key))
+  with
+  | Some e -> Lazy.force e.code
+  | None -> Minir.Code.of_program prog
+
 let run_compiled ?observer (prog : Minir.Instr.program)
     (enc : Dnstree.Encode.t) (q : Message.query) : run_outcome =
   let mem = enc.Dnstree.Encode.memory in
@@ -101,26 +135,14 @@ let run_compiled ?observer (prog : Minir.Instr.program)
           Value.VInt (Rr.rtype_code q.Message.qtype);
         ]
       in
-      match Minir.Interp.run ?observer prog ~memory:mem ~fn:"resolve" ~args with
-      | Minir.Interp.Returned (_, mem') ->
-          Response (Dnstree.Encode.decode_response enc mem' resp_ptr)
+      match
+        Minir.Interp.exec ?observer (code prog) ~memory:mem ~fn:"resolve" ~args
+      with
+      | Minir.Interp.Returned (_, ov) ->
+          Response
+            (Dnstree.Encode.decode_response_mval enc
+               (Minir.Interp.overlay_load ov resp_ptr))
       | Minir.Interp.Panicked msg -> Engine_panic msg)
-
-(* Convenience: compile (memoized per config), encode, run. The memo is
-   domain-local so parallel pipeline workers never race on the table;
-   each worker compiles a version at most once. *)
-let compiled_cache_key : (string, Minir.Instr.program) Hashtbl.t Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let compiled (cfg : Builder.config) : Minir.Instr.program =
-  let compiled_cache = Domain.DLS.get compiled_cache_key in
-  match Hashtbl.find_opt compiled_cache cfg.Builder.version with
-  | Some p -> p
-  | None ->
-      let p = Builder.compile cfg in
-      Hashtbl.replace compiled_cache cfg.Builder.version p;
-      p
 
 let run ?observer (cfg : Builder.config) (zone : Dns.Zone.t)
     (q : Message.query) : run_outcome =

@@ -21,9 +21,12 @@ val run_compiled :
     Value.memory ->
     unit) ->
   Minir.Instr.program -> Dnstree.Encode.t -> Message.query -> run_outcome
-(* Compile memo, one table per domain (parallel workers never share). *)
-val compiled_cache_key : (string, Minir.Instr.program) Hashtbl.t Domain.DLS.key
+(* Compile memo, one table per domain (parallel workers never share):
+   each program with its resolved form, built on first use. *)
 val compiled : Builder.config -> Minir.Instr.program
+(* The resolved form of a program: the memo's when the program came from
+   [compiled] on this domain, else resolved afresh on every call. *)
+val code : Minir.Instr.program -> Minir.Code.t
 val run :
   ?observer:
     (string ->

@@ -20,6 +20,7 @@ type result = (path * outcome) list
 
 type ctx = {
   prog : Instr.program;
+  code : Minir.Code.t; (* [prog] resolved: jump targets and callees *)
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -39,9 +40,12 @@ exception Budget_exceeded of string
 
 let default_max_steps = 5_000_000
 
-let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) prog =
+let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) ?code
+    prog =
   {
     prog;
+    code =
+      (match code with Some c -> c | None -> Minir.Code.of_program prog);
     intercepts;
     steps = 0;
     max_steps;
@@ -242,26 +246,27 @@ let rec exec_call (ctx : ctx) (path : path) (fn_name : string)
   match List.assoc_opt fn_name ctx.intercepts with
   | Some handler -> handler ctx path args
   | None ->
-      let f = Instr.find_func ctx.prog fn_name in
-      if List.length args <> List.length f.Instr.params then
+      let f = Minir.Code.func_named ctx.code fn_name in
+      let params = f.Minir.Code.fsrc.Instr.params in
+      if List.length args <> List.length params then
         Sval.error "arity mismatch calling %s" fn_name;
       let regs =
-        List.fold_left2
-          (fun m (r, _) v -> Regs.add r v m)
-          Regs.empty f.Instr.params args
+        List.fold_left2 (fun m (r, _) v -> Regs.add r v m) Regs.empty params args
       in
-      exec_block ctx path f regs (Instr.find_block f f.Instr.entry)
+      exec_block ctx path f regs (Minir.Code.block f f.Minir.Code.entry)
 
-and exec_block ctx path f regs (b : Instr.block) : result =
-  exec_insns ctx path regs b.Instr.insns (fun path regs ->
+and exec_block ctx path f regs (b : Minir.Code.block) : result =
+  exec_insns ctx path regs b.Minir.Code.src.Instr.insns (fun path regs ->
       tick ctx;
-      match b.Instr.term with
-      | Instr.Br l -> exec_block ctx path f regs (Instr.find_block f l)
-      | Instr.Cond_br (c, l1, l2) ->
+      match b.Minir.Code.src.Instr.term with
+      | Instr.Br _ -> exec_block ctx path f regs (Minir.Code.successor f b 0)
+      | Instr.Cond_br (c, _, _) ->
           let t = as_bool_term (operand_value regs c) in
           fork_bool ctx path t
-            ~then_:(fun path -> exec_block ctx path f regs (Instr.find_block f l1))
-            ~else_:(fun path -> exec_block ctx path f regs (Instr.find_block f l2))
+            ~then_:(fun path ->
+              exec_block ctx path f regs (Minir.Code.successor f b 0))
+            ~else_:(fun path ->
+              exec_block ctx path f regs (Minir.Code.successor f b 1))
       | Instr.Ret None -> [ (path, Returned None) ]
       | Instr.Ret (Some o) -> [ (path, Returned (Some (operand_value regs o))) ]
       | Instr.Panic reason -> [ (path, Panicked reason) ]

@@ -18,6 +18,7 @@ type outcome = Returned of Sval.sval option | Panicked of string
 type result = (path * outcome) list
 type ctx = {
   prog : Instr.program;
+  code : Minir.Code.t; (* [prog] resolved: jump targets and callees *)
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -31,10 +32,13 @@ type ctx = {
 and intercept = ctx -> path -> Sval.sval list -> result
 exception Budget_exceeded of string
 val default_max_steps : int
+(* [code] must be [prog]'s resolved form (e.g. from the engine compile
+   memo); without it, [prog] is resolved here. *)
 val create :
   ?max_steps:int ->
   ?budget:Budget.t ->
-  ?intercepts:(string * intercept) list -> Instr.program -> ctx
+  ?intercepts:(string * intercept) list ->
+  ?code:Minir.Code.t -> Instr.program -> ctx
 val tick : ctx -> unit
 val charge_fork : ctx -> unit
 val feasible : ctx -> Term.t list -> bool
@@ -115,7 +119,7 @@ val resolve_gep :
 val exec_call : ctx -> path -> string -> Sval.sval list -> result
 val exec_block :
   ctx ->
-  path -> Instr.func -> Sval.sval Regs.t -> Instr.block -> result
+  path -> Minir.Code.func -> Sval.sval Regs.t -> Minir.Code.block -> result
 val exec_insns :
   ctx ->
   path ->

@@ -520,6 +520,29 @@ let test_quantile_bounds () =
   check_bool "loadgen p50 bracket is ordered" true
     (r.Loadgen.lg_p50_lo_ms < r.Loadgen.lg_p50_ms)
 
+(* Bucket edges are coarser than the data: a percentile is reported no
+   higher than the slowest reply actually measured. Under 50 replies the
+   p99 rank is the slowest reply itself, whose bucket's upper edge lies
+   above it, so an unclamped p99 would read above the max. *)
+let test_loadgen_percentiles_within_max () =
+  let s = Serve.create ~config:(v3_cfg ()) Spec.Fixtures.reference_zone in
+  let r =
+    Loadgen.run ~zone:Spec.Fixtures.reference_zone (Loadgen.inproc s)
+      { Loadgen.queries = 40; malformed_pct = 10; seed = 0x0C }
+  in
+  let open Loadgen in
+  check_bool "answered" true (r.lg_answered > 0 && r.lg_max_ms > 0.0);
+  check_bool "p50 <= p90" true (r.lg_p50_ms <= r.lg_p90_ms);
+  check_bool "p90 <= p99" true (r.lg_p90_ms <= r.lg_p99_ms);
+  check_bool "p99 <= max" true (r.lg_p99_ms <= r.lg_max_ms);
+  List.iter
+    (fun (lo, hi) -> check_bool "lo <= hi <= max" true (lo <= hi && hi <= r.lg_max_ms))
+    [
+      (r.lg_p50_lo_ms, r.lg_p50_ms);
+      (r.lg_p90_lo_ms, r.lg_p90_ms);
+      (r.lg_p99_lo_ms, r.lg_p99_ms);
+    ]
+
 let () =
   Alcotest.run "obsv"
     [
@@ -561,5 +584,7 @@ let () =
           Alcotest.test_case "report --json shape" `Quick test_report_to_json;
           Alcotest.test_case "quantile error bounds" `Quick
             test_quantile_bounds;
+          Alcotest.test_case "loadgen percentiles within the max" `Quick
+            test_loadgen_percentiles_within_max;
         ] );
     ]

@@ -44,7 +44,7 @@ let run ?(zone = Spec.Fixtures.figure11_zone) () : result =
   Solver.reset_stats ();
   let enc = Encode.encode (Tree.build zone) in
   let prog = Engine.Versions.compiled (Engine.Versions.fixed Engine.Versions.v3_0) in
-  let ctx = Exec.create ~code:(Engine.Versions.code prog) prog in
+  let ctx = Exec.create prog in
   let tenv = prog.Minir.Instr.tenv in
   let mem0 = Sval.memory_of_concrete enc.Encode.memory in
   let mem0, stack_ptr =

@@ -106,7 +106,8 @@ let compiled (cfg : Builder.config) : Minir.Instr.program =
       prog
 
 (* The resolved form of [prog]: the memo's when [prog] came from
-   [compiled] on this domain, else resolved afresh. *)
+   [compiled] on this domain, else resolved afresh (the slow path that
+   [run_compiled]'s callers avoid by passing programs from [compiled]). *)
 let code (prog : Minir.Instr.program) : Minir.Code.t =
   match
     Seq.find

@@ -12,7 +12,10 @@ module Message = Dns.Message
 module Rr = Dns.Rr
 type run_outcome = Response of Message.response | Engine_panic of string
 (* [observer] is forwarded to the concrete interpreter (fires at every
-   block entry; used by the static-analysis soundness tests). *)
+   block entry; used by the static-analysis soundness tests).
+   [run_compiled] expects a program returned by [compiled] on the calling
+   domain: it runs on that program's memoized resolved form. Any other
+   program is resolved again on every call (0.35-0.56 ms each). *)
 val run_compiled :
   ?observer:
     (string ->
@@ -24,9 +27,6 @@ val run_compiled :
 (* Compile memo, one table per domain (parallel workers never share):
    each program with its resolved form, built on first use. *)
 val compiled : Builder.config -> Minir.Instr.program
-(* The resolved form of a program: the memo's when the program came from
-   [compiled] on this domain, else resolved afresh on every call. *)
-val code : Minir.Instr.program -> Minir.Code.t
 val run :
   ?observer:
     (string ->

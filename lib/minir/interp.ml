@@ -34,8 +34,6 @@ type state = {
   mutable fresh : Value.mval array; (* block base.next_block + i *)
   mutable next : int;
   mutable fuel : int;
-  mutable view : Value.memory option;
-      (* kept equal to [memory_of] while an observer is attached *)
 }
 
 let tick st =
@@ -54,10 +52,7 @@ let block_value st b =
 
 let set_block st b mv =
   if is_fresh st b then st.fresh.(b - st.base.Value.next_block) <- mv
-  else st.copied <- Int_map.add b mv st.copied;
-  match st.view with
-  | Some v -> st.view <- Some { v with Value.blocks = Int_map.add b mv v.Value.blocks }
-  | None -> ()
+  else st.copied <- Int_map.add b mv st.copied
 
 let rec deep_copy = function
   | Value.MStruct fs -> Value.MStruct (Array.map deep_copy fs)
@@ -84,9 +79,6 @@ let alloc st mv =
   end;
   st.next <- b + 1;
   set_block st b mv;
-  (match st.view with
-  | Some v -> st.view <- Some { v with Value.next_block = st.next }
-  | None -> ());
   Value.VPtr { Value.block = b; path = [] }
 
 (* Write [v] at [path] inside [m] in place, with the bounds checks and
@@ -116,16 +108,20 @@ let store st (p : Value.ptr) v =
       set_block st p.Value.block v
   | path -> set_in (writable st p.Value.block) path v
 
-let memory_of st =
-  match st.view with
-  | Some v -> v
-  | None ->
-      let blocks = Int_map.fold Int_map.add st.copied st.base.Value.blocks in
-      let blocks = ref blocks in
-      for b = st.base.Value.next_block to st.next - 1 do
-        blocks := Int_map.add b st.fresh.(b - st.base.Value.next_block) !blocks
-      done;
-      { Value.blocks = !blocks; next_block = st.next }
+(* The caller's memory with the run's blocks added, each passed through
+   [copy]. *)
+let memory_with copy st =
+  let blocks =
+    Int_map.fold (fun b mv m -> Int_map.add b (copy mv) m) st.copied
+      st.base.Value.blocks
+  in
+  let blocks = ref blocks in
+  for b = st.base.Value.next_block to st.next - 1 do
+    blocks := Int_map.add b (copy st.fresh.(b - st.base.Value.next_block)) !blocks
+  done;
+  { Value.blocks = !blocks; next_block = st.next }
+
+let memory_of st = memory_with Fun.id st
 
 (* Shared boxes for the booleans and the small integers (label codes,
    lengths, counts, indices) that most results are. *)
@@ -222,8 +218,8 @@ let frame_table (f : Code.func) fr =
    frame's written registers, and current memory — the hook the
    static-analysis soundness tests use to compare concrete runs against
    abstract states. The table and memory are built only when an observer
-   is given; they are valid for the duration of the callback (later
-   stores of the run update the memory's blocks in place). *)
+   is given, as snapshots: the blocks the run owns are deep-copied, so
+   later stores never change what an observer kept. *)
 let exec ?(fuel = default_fuel)
     ?(observer :
        (string -> Instr.label -> (Instr.reg, Value.t) Hashtbl.t ->
@@ -238,7 +234,6 @@ let exec ?(fuel = default_fuel)
       fresh = [||];
       next = memory.Value.next_block;
       fuel;
-      view = Option.map (fun _ -> memory) observer;
     }
   in
   let rec call callee name (args : Value.t array) : Value.t option =
@@ -250,7 +245,9 @@ let exec ?(fuel = default_fuel)
     exec_block f fr (Code.block f f.Code.entry)
   and exec_block f fr (b : Code.block) : Value.t option =
     (match observer with
-    | Some obs -> obs f.Code.name b.Code.label (frame_table f fr) (memory_of st)
+    | Some obs ->
+        obs f.Code.name b.Code.label (frame_table f fr)
+          (memory_with deep_copy st)
     | None -> ());
     let insns = b.Code.insns in
     for i = 0 to Array.length insns - 1 do

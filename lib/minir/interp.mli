@@ -25,9 +25,9 @@ val overlay_load : overlay -> Value.ptr -> Value.mval
    error is [Panicked]; an undefined callee or jump target raises
    [Invalid_argument] when taken. [observer] fires at every block entry
    (before its instructions) with the function name, block label,
-   written frame registers, and current memory, both valid for the
-   duration of the callback; used by the static-analysis soundness
-   tests. They are built only when an observer is given. *)
+   written frame registers, and current memory, both snapshots that
+   later steps of the run leave unchanged; used by the static-analysis
+   soundness tests. They are built only when an observer is given. *)
 val exec :
   ?fuel:int ->
   ?observer:

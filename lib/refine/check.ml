@@ -196,9 +196,7 @@ let prepare ?store ?budget (prog : Minir.Instr.program) (enc : Encode.t)
             else Some (fn, Summary.intercept_for ~frozen_below store fn))
           Engine.Builder.summarized_layers
   in
-  let exec_ctx =
-    Exec.create ?budget ~intercepts ~code:(Engine.Versions.code prog) prog
-  in
+  let exec_ctx = Exec.create ?budget ~intercepts prog in
   let mem0 = Sval.memory_of_concrete enc.Encode.memory in
   let mem0, resp_ptr =
     Sval.alloc mem0

@@ -645,10 +645,9 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
     in
     let enc = Dnstree.Encode.encode (Dnstree.Tree.build zone) in
     let mem, args, pc = layer_setup prog (Some enc) layer in
-    let code = Engine.Versions.code prog in
-    let code_ctx = Exec.create ~budget ~code prog in
+    let code_ctx = Exec.create ~budget prog in
     let code_paths = Exec.run code_ctx ~memory:mem ~pc ~fn:layer ~args in
-    let spec_ctx = Exec.create ~budget ~code prog in
+    let spec_ctx = Exec.create ~budget prog in
     let spec_paths = spec spec_ctx { Exec.pc; mem } args in
     let pairs, mismatches = compare_results mem code_paths spec_paths in
     (List.length code_paths, List.length spec_paths, pairs, mismatches)

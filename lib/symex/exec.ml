@@ -19,8 +19,7 @@ type outcome = Returned of Sval.sval option | Panicked of string
 type result = (path * outcome) list
 
 type ctx = {
-  prog : Instr.program;
-  code : Minir.Code.t; (* [prog] resolved: jump targets and callees *)
+  code : Minir.Code.t; (* the program, resolved: jump targets and callees *)
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -40,12 +39,9 @@ exception Budget_exceeded of string
 
 let default_max_steps = 5_000_000
 
-let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) ?code
-    prog =
+let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) prog =
   {
-    prog;
-    code =
-      (match code with Some c -> c | None -> Minir.Code.of_program prog);
+    code = Minir.Code.of_program prog;
     intercepts;
     steps = 0;
     max_steps;
@@ -55,6 +51,8 @@ let create ?(max_steps = default_max_steps) ?budget ?(intercepts = []) ?code
     unknowns = 0;
     incr = Solver.Incremental.create ();
   }
+
+let tenv ctx = ctx.code.Minir.Code.program.Instr.tenv
 
 let tick ctx =
   ctx.steps <- ctx.steps + 1;
@@ -231,7 +229,7 @@ let rec resolve_gep ctx (path : path) (ty : Ty.t) (base : Value.ptr)
               Sval.error
                 "gep index out of range (missing bounds check in frontend)")
       | Ty.Struct name -> (
-          let def = Ty.find_struct ctx.prog.Instr.tenv name in
+          let def = Ty.find_struct (tenv ctx) name in
           match as_int_term idx with
           | Term.Int_const i ->
               let fty = (Ty.field_at def i).Ty.fty in
@@ -318,12 +316,12 @@ and eval_rvalue ctx path regs (rv : Instr.rvalue)
   | Instr.Alloca ty ->
       let mem, ptr =
         Sval.alloc ~stack:true path.mem
-          (Sval.scell_default ctx.prog.Instr.tenv ty)
+          (Sval.scell_default (tenv ctx) ty)
       in
       k { path with mem } (Sval.SPtr ptr)
   | Instr.Newobject ty ->
       let mem, ptr =
-        Sval.alloc path.mem (Sval.scell_default ctx.prog.Instr.tenv ty)
+        Sval.alloc path.mem (Sval.scell_default (tenv ctx) ty)
       in
       k { path with mem } (Sval.SPtr ptr)
   | Instr.Load (_ty, po) -> (

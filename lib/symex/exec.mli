@@ -17,8 +17,7 @@ type path = { pc : Term.t list; mem : Sval.memory; }
 type outcome = Returned of Sval.sval option | Panicked of string
 type result = (path * outcome) list
 type ctx = {
-  prog : Instr.program;
-  code : Minir.Code.t; (* [prog] resolved: jump targets and callees *)
+  code : Minir.Code.t; (* the program, resolved: jump targets and callees *)
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -32,13 +31,10 @@ type ctx = {
 and intercept = ctx -> path -> Sval.sval list -> result
 exception Budget_exceeded of string
 val default_max_steps : int
-(* [code] must be [prog]'s resolved form (e.g. from the engine compile
-   memo); without it, [prog] is resolved here. *)
 val create :
   ?max_steps:int ->
   ?budget:Budget.t ->
-  ?intercepts:(string * intercept) list ->
-  ?code:Minir.Code.t -> Instr.program -> ctx
+  ?intercepts:(string * intercept) list -> Instr.program -> ctx
 val tick : ctx -> unit
 val charge_fork : ctx -> unit
 val feasible : ctx -> Term.t list -> bool

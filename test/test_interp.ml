@@ -533,6 +533,54 @@ let test_frozen_image () =
   | Interp.Panicked m -> Alcotest.fail m);
   check_bool "caller memory untouched" true (memory = fst (setup "poke"))
 
+(* The observer's register table and memory are snapshots: what an
+   observer keeps from one block entry is unchanged by the stores the
+   run makes after it, into a caller block and into a fresh one. *)
+let test_observer_snapshots () =
+  let store_twice =
+    main ~params:[ ("q", Ty.Ptr pair) ]
+      [
+        ( "entry",
+          blk
+            [
+              Instr.Assign ("p", Instr.Newobject pair);
+              Instr.Assign ("x", Instr.Gep (pair, r "p", [ i 1; i 0 ]));
+              Instr.Assign ("y", Instr.Gep (pair, r "q", [ i 0 ]));
+              Instr.Store (Ty.I64, i 1, r "x");
+              Instr.Store (Ty.I64, i 1, r "y");
+            ]
+            (Instr.Br "next") );
+        ( "next",
+          blk
+            [
+              Instr.Store (Ty.I64, i 2, r "x");
+              Instr.Store (Ty.I64, i 2, r "y");
+              Instr.Assign ("v", Instr.Load (Ty.I64, r "x"));
+            ]
+            (Instr.Br "last") );
+        ("last", blk [ Instr.Store (Ty.I64, i 3, r "x") ] (ret (r "v")));
+      ]
+  in
+  let memory, q = Value.alloc Value.empty_memory (Value.mval_default tenv pair) in
+  let show regs (mem : Value.memory) =
+    let regs =
+      Hashtbl.fold (fun k v acc -> Format.asprintf "%s=%a" k Value.pp v :: acc) regs []
+    in
+    show_outcome (Interp.Returned (None, mem)) ^ " | " ^ String.concat " " (List.sort compare regs)
+  in
+  let kept = ref [] in
+  let observer _ label regs mem = kept := (label, regs, mem, show regs mem) :: !kept in
+  (match
+     Interp.run ~observer (prog [ store_twice ]) ~memory ~fn:"main" ~args:[ Value.VPtr q ]
+   with
+  | Interp.Returned (Some (Value.VInt 2), _) -> ()
+  | o -> Alcotest.fail (show_outcome o));
+  check_string "entries" "entry next last"
+    (String.concat " " (List.rev_map (fun (l, _, _, _) -> l) !kept));
+  List.iter
+    (fun (label, regs, mem, seen) -> check_string label seen (show regs mem))
+    !kept
+
 let () =
   Alcotest.run "interp"
     [
@@ -542,4 +590,5 @@ let () =
           Alcotest.test_case "engine fuel cut-offs" `Quick test_golden_cutoffs;
         ] );
       ("image", [ Alcotest.test_case "frozen image is isolated" `Quick test_frozen_image ]);
+      ("observer", [ Alcotest.test_case "observer snapshots stay fixed" `Quick test_observer_snapshots ]);
     ]

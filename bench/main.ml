@@ -109,30 +109,16 @@ let reverify_versions () =
   List.map Engine.Versions.fixed
     Engine.Versions.[ v1_0; v2_0; v3_0; dev ]
 
-let zero_stats () =
-  {
-    Smt.Solver.checks = 0;
-    fast_path = 0;
-    dpllt_iterations = 0;
-    unknowns = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    incremental_checks = 0;
-    scratch_checks = 0;
-    cert_checks = 0;
-    cert_failures = 0;
-  }
-
-(* Snapshot of this domain's cumulative counters. [Solver.lifetime]
-   already folds in the current window and returns a fresh record, so
-   the snapshot is safe to keep across resets. *)
-let stats_snapshot () = Smt.Solver.lifetime ()
+(* Solver counters are read from the metrics registry as before/after
+   deltas of this domain's cumulative cells. *)
+let solver_count (d : Trace.Metrics.snapshot) name =
+  Trace.Metrics.get d ("solver." ^ name)
 
 type reverify_run = {
   rv_wall : float;
   rv_worker_walls : float list;
   rv_fingerprint : string;
-  rv_stats : Smt.Solver.stats;
+  rv_stats : Trace.Metrics.snapshot; (* summed per-task deltas *)
 }
 
 let reverify_run ~jobs () =
@@ -144,19 +130,21 @@ let reverify_run ~jobs () =
   Smt.Solver.clear_caches ();
   Dnsv.Pipeline.clear_summary_memo ();
   let task cfg =
-    let s0 = stats_snapshot () in
+    let s0 = Trace.Metrics.snapshot () in
     let v =
       Dnsv.Pipeline.verify ~check_layers:false ~budget:(Budget.create ()) cfg
         zone
     in
-    let s1 = stats_snapshot () in
-    (Dnsv.Pipeline.fingerprint v, Smt.Solver.diff_stats s1 s0)
+    ( Dnsv.Pipeline.fingerprint v,
+      Trace.Metrics.diff (Trace.Metrics.snapshot ()) s0 )
   in
   let t0 = Unix.gettimeofday () in
   let results, walls = Parallel.Domainpool.map_timed ~jobs task tasks in
   let wall = Unix.gettimeofday () -. t0 in
-  let stats = zero_stats () in
-  List.iter (fun (_, s) -> Smt.Solver.add_stats ~into:stats s) results;
+  let stats =
+    List.fold_left (fun acc (_, s) -> Trace.Metrics.sum acc s)
+      Trace.Metrics.empty results
+  in
   {
     rv_wall = wall;
     rv_worker_walls = walls;
@@ -211,9 +199,9 @@ let cert_overhead () =
   let off, on_ = cert_overhead_runs () in
   let ratio = on_.rv_wall /. off.rv_wall in
   Printf.printf "%-24s %8.3f s   cert checks %d\n" "validation off" off.rv_wall
-    off.rv_stats.Smt.Solver.cert_checks;
+    (solver_count off.rv_stats "cert_checks");
   Printf.printf "%-24s %8.3f s   cert checks %d\n" "validation on" on_.rv_wall
-    on_.rv_stats.Smt.Solver.cert_checks;
+    (solver_count on_.rv_stats "cert_checks");
   Printf.printf "\noverhead %.3fx (gate <= %.2fx), verdicts identical: %b\n\n"
     ratio cert_overhead_gate
     (String.equal off.rv_fingerprint on_.rv_fingerprint)
@@ -443,10 +431,11 @@ let reverify () =
        incr/scratch %d/%d\n"
       name r.rv_wall
       (cached.rv_wall /. r.rv_wall)
-      r.rv_stats.Smt.Solver.dpllt_iterations
-      r.rv_stats.Smt.Solver.cache_hits r.rv_stats.Smt.Solver.cache_misses
-      r.rv_stats.Smt.Solver.incremental_checks
-      r.rv_stats.Smt.Solver.scratch_checks
+      (solver_count r.rv_stats "dpllt_iterations")
+      (solver_count r.rv_stats "cache_hits")
+      (solver_count r.rv_stats "cache_misses")
+      (solver_count r.rv_stats "incremental_checks")
+      (solver_count r.rv_stats "scratch_checks")
   in
   line "cached, sequential" cached;
   line (Printf.sprintf "cached, --jobs %d" reverify_jobs) par;
@@ -497,20 +486,15 @@ let json_of_status = function
 let ablation_seed_speedup = 0.83
 let ablation_regression_floor = 0.5
 
-let json_of_stats (s : Smt.Solver.stats) =
+let json_of_stats (d : Trace.Metrics.snapshot) =
   json_obj
-    [
-      ("checks", string_of_int s.Smt.Solver.checks);
-      ("fast_path", string_of_int s.Smt.Solver.fast_path);
-      ("dpllt_iterations", string_of_int s.Smt.Solver.dpllt_iterations);
-      ("unknowns", string_of_int s.Smt.Solver.unknowns);
-      ("cache_hits", string_of_int s.Smt.Solver.cache_hits);
-      ("cache_misses", string_of_int s.Smt.Solver.cache_misses);
-      ("incremental_checks", string_of_int s.Smt.Solver.incremental_checks);
-      ("scratch_checks", string_of_int s.Smt.Solver.scratch_checks);
-      ("cert_checks", string_of_int s.Smt.Solver.cert_checks);
-      ("cert_failures", string_of_int s.Smt.Solver.cert_failures);
-    ]
+    (List.map
+       (fun name -> (name, string_of_int (solver_count d name)))
+       [
+         "checks"; "fast_path"; "dpllt_iterations"; "unknowns"; "cache_hits";
+         "cache_misses"; "incremental_checks"; "scratch_checks"; "cert_checks";
+         "cert_failures";
+       ])
 
 let json_of_reverify (r : reverify_run) =
   json_obj
@@ -917,11 +901,11 @@ let json () =
   let cfg = Engine.Versions.fixed Engine.Versions.v3_0 in
   let zone = Spec.Fixtures.reference_zone in
   let budget = Budget.create () in
-  let stats0 = stats_snapshot () in
+  let stats0 = Trace.Metrics.snapshot () in
   let t0 = Unix.gettimeofday () in
   let v = Dnsv.Pipeline.verify ~budget cfg zone in
   let wall = Unix.gettimeofday () -. t0 in
-  let pipeline_stats = Smt.Solver.diff_stats (stats_snapshot ()) stats0 in
+  let pipeline_stats = Trace.Metrics.diff (Trace.Metrics.snapshot ()) stats0 in
   let layer_phase (r : Refine.Layers.layer_report) =
     json_obj
       [
@@ -1035,7 +1019,7 @@ let json () =
                ("overhead_ratio", Printf.sprintf "%.3f" co_ratio);
                ("gate", Printf.sprintf "%.2f" cert_overhead_gate);
                ( "cert_checks",
-                 string_of_int co_on.rv_stats.Smt.Solver.cert_checks );
+                 string_of_int (solver_count co_on.rv_stats "cert_checks") );
                ("verdicts_identical", string_of_bool co_identical);
              ] );
          ( "trace_overhead",

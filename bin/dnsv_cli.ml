@@ -154,20 +154,16 @@ let store_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-let no_store_arg =
-  let doc = "Ignore --store: run without the persistent store." in
-  Arg.(value & flag & info [ "no-store" ] ~doc)
-
 (* Open the persistent store (if requested) around [f]. A directory
    held by a live writer opens read-only; opening never fails the run. *)
-let with_store store_dir no_store (f : Store.t option -> 'a) : 'a =
+let with_store store_dir (f : Store.t option -> 'a) : 'a =
   match store_dir with
-  | Some dir when not no_store ->
+  | Some dir ->
       let st = Store.open_ dir in
       Fun.protect
         ~finally:(fun () -> Store.close st)
         (fun () -> f (Some st))
-  | _ -> f None
+  | None -> f None
 
 (* ------------------------------------------------------------------ *)
 (* Tracing (shared by verify, batch and chaos)                        *)
@@ -229,7 +225,7 @@ let jobs_arg =
 
 let verify_cmd =
   let run version zone_file qtypes inline no_layers deadline solver_steps
-      max_paths retries jobs store_dir no_store fault_seed fault_plan trace =
+      max_paths retries jobs store_dir fault_seed fault_plan trace =
     let cfg = config_of_version version in
     let zone = load_zone zone_file in
     apply_faults fault_seed fault_plan;
@@ -241,7 +237,7 @@ let verify_cmd =
     in
     let verdict =
       try
-        with_store store_dir no_store (fun store ->
+        with_store store_dir (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify ~qtypes ~mode
                   ~check_layers:(not no_layers) ~budget ~retries ~jobs ?store
@@ -277,7 +273,7 @@ let verify_cmd =
     Term.(
       const run $ version_arg $ zone_file_arg $ qtypes_arg $ inline $ no_layers
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ store_dir_arg $ no_store_arg $ fault_seed_arg
+      $ jobs_arg $ store_dir_arg $ fault_seed_arg
       $ fault_plan_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +282,7 @@ let verify_cmd =
 
 let batch_cmd =
   let run version origin count seed qtypes deadline solver_steps max_paths
-      retries jobs store_dir no_store journal resume fault_seed fault_plan
+      retries jobs store_dir journal resume fault_seed fault_plan
       trace progress =
     let cfg = config_of_version version in
     let origin =
@@ -341,7 +337,7 @@ let batch_cmd =
     in
     let r =
       try
-        with_store store_dir no_store (fun store ->
+        with_store store_dir (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify_batch_run ~qtypes ~count ~seed ~budget
                   ~retries ~jobs ?store ?journal ~resume ?on_start ~on_item
@@ -449,7 +445,7 @@ let batch_cmd =
     Term.(
       const run $ version_arg $ origin_arg $ count_arg $ seed_arg $ qtypes_arg
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ store_dir_arg $ no_store_arg $ journal_arg $ resume_arg
+      $ jobs_arg $ store_dir_arg $ journal_arg $ resume_arg
       $ fault_seed_arg $ fault_plan_arg $ trace_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -781,7 +777,7 @@ let write_file_atomic path text =
       Sys.rename tmp path)
 
 let lint_cmd =
-  let run engine golite json baseline update store_dir no_store =
+  let run engine golite json baseline update store_dir =
     (* Each target: display name, program, analysis env, dead-callee
        entry points. Engines get the full interprocedural environment
        (resolve entry facts, Layout field invariants) and `resolve` as
@@ -818,7 +814,7 @@ let lint_cmd =
                 Some [ "resolve" ] ))
             cfgs
     in
-    with_store store_dir no_store @@ fun store ->
+    with_store store_dir @@ fun store ->
     let results =
       List.map
         (fun (name, prog, env, entries) ->
@@ -831,8 +827,8 @@ let lint_cmd =
                   f
           in
           with_hooks @@ fun () ->
-          let fs = Analysis.Lint.run ?env ?entries prog in
-          let s = Analysis.summarize ?env prog in
+          let s = Analysis.analyze ?env prog in
+          let fs = Analysis.Lint.run ?entries prog s in
           let hits, misses = Analysis.store_traffic s in
           let stats = Analysis.interproc_stats s in
           if store <> None then
@@ -986,7 +982,7 @@ let lint_cmd =
          ])
     Term.(
       const run $ engine_opt_arg $ golite_arg $ json_arg $ baseline_arg
-      $ update_arg $ store_dir_arg $ no_store_arg)
+      $ update_arg $ store_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* store                                                              *)
@@ -1115,6 +1111,7 @@ let serve_cmd =
        final snapshot and query-log tail are flushed, and we exit 0. *)
     Dnsv.Serve.clear_stop ();
     Dnsv.Serve.install_stop_signals ();
+    let m0 = Trace.Metrics.snapshot () in
     (try
        with_trace trace (fun () ->
            Dnsv.Serve.serve_udp ?max_queries ?stats
@@ -1143,7 +1140,8 @@ let serve_cmd =
         Obsv.Qlog.close q
     | None -> ());
     (match stats with Some ep -> Obsv.Endpoint.close ep | None -> ());
-    Format.eprintf "%a@." Dnsv.Serve.pp_stats (Dnsv.Serve.stats ());
+    Format.eprintf "%a@." Dnsv.Serve.pp_counts
+      (Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0);
     exit 0
   in
   let query_deadline_arg =

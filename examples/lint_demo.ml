@@ -35,7 +35,7 @@ let source =
 let () =
   (* Golite source -> MinIR, exactly the path the engine versions take. *)
   let prog = Golite.Compile.compile (Golite.Parse.program_of_string_exn source) in
-  let findings = Analysis.Lint.run prog in
+  let findings = Analysis.Lint.run prog (Analysis.analyze prog) in
 
   Printf.printf "lint findings for the seeded program:\n";
   List.iter

@@ -372,7 +372,7 @@ let ip_persist_installed () = !(Domain.DLS.get ip_persist_key)
 (* ------------------------------------------------------------------ *)
 
 (* Facts the *caller of the analysis* is entitled to assume, all
-   optional — [summarize] without an env is sound for any entry into
+   optional — [analyze] without an env is sound for any entry into
    any function. An env declares:
 
    - [env_roots]: functions the harness may enter directly with
@@ -1182,8 +1182,8 @@ type edge_fact = { then_dead : bool; else_dead : bool }
    [interproc_stats] counts them. *)
 type branch_info = { bi_fact : edge_fact; bi_interproc : bool }
 
-(* Physical-identity block table: keys are blocks of the one memoized
-   program value per version, so [( == )] is the right equality and
+(* Physical-identity block table: keys are blocks of the one analyzed
+   program value, so [( == )] is the right equality and
    the (bounded-depth) structural hash is merely a bucket spreader. *)
 module Blocktbl = Hashtbl.Make (struct
   type t = Instr.block
@@ -1542,48 +1542,14 @@ let scc_rounds = 3
    non-roots revert soundly to ⊤-parameter contexts). *)
 let context_rounds prog = (2 * List.length prog.Instr.funcs) + 4
 
-(* Per-program (physical identity) memo for the env-independent parts
-   of an analysis: callgraph, purity, and the plain PR 5 facts. Every
-   env over the same program shares them. *)
-type analyze_base = {
-  ab_cg : Callgraph.t;
-  ab_pure : SSet.t;
-  ab_plain : (string, func_facts) Hashtbl.t;
-}
-
-let base_memo_key : (Instr.program * analyze_base) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let analyze_base (prog : Instr.program) : analyze_base =
-  let memo = Domain.DLS.get base_memo_key in
-  match List.find_opt (fun (p, _) -> p == prog) !memo with
-  | Some (_, b) -> b
-  | None ->
-      let cg = Callgraph.build prog in
-      let plain = Hashtbl.create 16 in
-      List.iter
-        (fun (f : Instr.func) ->
-          Hashtbl.replace plain f.Instr.fn_name (analyze_func prog f))
-        prog.Instr.funcs;
-      let b = { ab_cg = cg; ab_pure = pure_set prog cg; ab_plain = plain } in
-      if List.length !memo >= 8 then memo := [];
-      memo := (prog, b) :: !memo;
-      b
-
-(* Relational summaries per (program, filtered-field-invariant digest):
-   every env without field invariants shares one table per program.
-   The persistence hook is part of the key (by identity) so a freshly
-   installed store still sees its loads and saves. *)
-let rsums_memo_key :
-    ((Instr.program * string * ip_persist option)
-    * ((string, rsummary) Hashtbl.t * int * int))
-    list
-    ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
 let analyze ?env (prog : Instr.program) : summary =
-  let { ab_cg = cg; ab_pure = pure; ab_plain = plain } = analyze_base prog in
+  let cg = Callgraph.build prog in
+  let plain = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Instr.func) ->
+      Hashtbl.replace plain f.Instr.fn_name (analyze_func prog f))
+    prog.Instr.funcs;
+  let pure = pure_set prog cg in
   let is_pure fn = SSet.mem fn pure in
   let fields =
     match env with
@@ -1630,54 +1596,40 @@ let analyze ?env (prog : Instr.program) : summary =
     let ff = analyze_func ~lookup ~fieldinv ~pure:is_pure prog f in
     extract_rsummary ff ~pure:(is_pure fn)
   in
-  (let memo = Domain.DLS.get rsums_memo_key in
-   match
-     List.find_opt
-       (fun ((p, fp, pr), _) -> p == prog && fp = envfp && pr == persist)
-       !memo
-   with
-   | Some (_, (tbl, h, m)) ->
-       Hashtbl.iter (fun fn rs -> Hashtbl.replace rsums fn rs) tbl;
-       hits := h;
-       misses := m
-   | None ->
-       List.iter
-         (fun scc ->
-           let cyclic =
-             match scc with [ one ] -> Callgraph.in_cycle cg one | _ -> true
-           in
-           let loaded = List.filter_map (fun fn ->
-               Option.map (fun rs -> (fn, rs)) (load_persisted fn)) scc
-           in
-           if List.length loaded = List.length scc then begin
-             hits := !hits + List.length scc;
-             List.iter (fun (fn, rs) -> Hashtbl.replace rsums fn rs) loaded
-           end
-           else begin
-             misses := !misses + List.length scc;
-             if not cyclic then
-               List.iter
-                 (fun fn ->
-                   let rs = compute fn in
-                   Hashtbl.replace rsums fn rs;
-                   save_persisted fn rs)
-                 scc
-             else begin
-               List.iter
-                 (fun fn ->
-                   Hashtbl.replace rsums fn (havoc_rsummary (find_fn fn)))
-                 scc;
-               for _round = 1 to scc_rounds do
-                 List.iter (fun fn -> Hashtbl.replace rsums fn (compute fn)) scc
-               done;
-               List.iter
-                 (fun fn -> save_persisted fn (Hashtbl.find rsums fn))
-                 scc
-             end
-           end)
-         (Callgraph.sccs cg);
-       if List.length !memo >= 16 then memo := [];
-       memo := ((prog, envfp, persist), (Hashtbl.copy rsums, !hits, !misses)) :: !memo);
+  List.iter
+    (fun scc ->
+      let cyclic =
+        match scc with [ one ] -> Callgraph.in_cycle cg one | _ -> true
+      in
+      let loaded =
+        List.filter_map
+          (fun fn -> Option.map (fun rs -> (fn, rs)) (load_persisted fn))
+          scc
+      in
+      if List.length loaded = List.length scc then begin
+        hits := !hits + List.length scc;
+        List.iter (fun (fn, rs) -> Hashtbl.replace rsums fn rs) loaded
+      end
+      else begin
+        misses := !misses + List.length scc;
+        if not cyclic then
+          List.iter
+            (fun fn ->
+              let rs = compute fn in
+              Hashtbl.replace rsums fn rs;
+              save_persisted fn rs)
+            scc
+        else begin
+          List.iter
+            (fun fn -> Hashtbl.replace rsums fn (havoc_rsummary (find_fn fn)))
+            scc;
+          for _round = 1 to scc_rounds do
+            List.iter (fun fn -> Hashtbl.replace rsums fn (compute fn)) scc
+          done;
+          List.iter (fun fn -> save_persisted fn (Hashtbl.find rsums fn)) scc
+        end
+      end)
+    (Callgraph.sccs cg);
   (* Context fixpoint: with an env, every non-root function's
      parameters are narrowed to the join of all syntactic call-site
      arguments, iterated (ascending, widened) to a least fixpoint.
@@ -1835,34 +1787,6 @@ let analyze ?env (prog : Instr.program) : summary =
     sm_store_hits = !hits;
     sm_store_misses = !misses;
   }
-
-(* Domain-local memo keyed on the program's physical identity plus the
-   (structural) environment: the compile memo in Engine.Versions
-   already guarantees one program value per version per domain, so
-   re-linting never re-analyzes. *)
-let memo_key : ((Instr.program * env option) * summary) list ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let memo_limit = 256
-
-let summarize ?env (prog : Instr.program) : summary =
-  let memo = Domain.DLS.get memo_key in
-  match
-    List.find_opt (fun ((p, e), _) -> p == prog && e = env) !memo
-  with
-  | Some (_, s) -> s
-  | None ->
-      let s = analyze ?env prog in
-      if List.length !memo >= memo_limit then
-        memo := List.filteri (fun i _ -> i < memo_limit / 2) !memo;
-      memo := ((prog, env), s) :: !memo;
-      s
-
-let clear_memo () =
-  Domain.DLS.get memo_key := [];
-  Domain.DLS.get base_memo_key := [];
-  Domain.DLS.get rsums_memo_key := []
 
 (* ------------------------------------------------------------------ *)
 (* Query API                                                          *)
@@ -2342,8 +2266,7 @@ module Lint = struct
   (* [entries] — when given, functions unreachable through call edges
      from any entry are reported (the dead-callee class). Left off for
      library-style programs where every function is a potential entry. *)
-  let run ?env ?entries (prog : Instr.program) : finding list =
-    let summary = summarize ?env prog in
+  let run ?entries (prog : Instr.program) (summary : summary) : finding list =
     let per_fn =
       List.concat_map
         (fun (f : Instr.func) ->

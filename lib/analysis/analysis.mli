@@ -107,7 +107,7 @@ val ip_persist_installed : unit -> ip_persist option
 (* Analysis environments                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Harness-supplied facts, all optional — [summarize] without an env is
+(* Harness-supplied facts, all optional — [analyze] without an env is
    sound for any entry into any function. [env_roots] are the functions
    the harness may call directly (every non-root's parameters narrow to
    the join of syntactic call-site arguments); [env_entry] gives
@@ -174,12 +174,6 @@ type summary
    trace span per function fixpoint. *)
 val analyze : ?env:env -> Instr.program -> summary
 
-(* Domain-local memoized [analyze], keyed on the program's physical
-   identity plus the structural env (the version compile memo yields
-   one program value per domain, so re-linting never re-analyzes). *)
-val summarize : ?env:env -> Instr.program -> summary
-val clear_memo : unit -> unit
-
 (* The converged summary of one function, if defined. *)
 val rsummary_of : summary -> string -> rsummary option
 val callgraph : summary -> Callgraph.t
@@ -219,11 +213,12 @@ module Lint : sig
     message : string;
   }
 
-  (* Deterministic (program-order) findings over every function.
-     [entries] switches on the dead-callee class (functions
-     unreachable from every listed entry); [env] sharpens the facts
-     the value-flow rules see. *)
-  val run : ?env:env -> ?entries:string list -> Instr.program -> finding list
+  (* Deterministic (program-order) findings over every function of
+     [prog], read from [summary] (one [analyze] of [prog]; an env given
+     there sharpens the facts the value-flow rules see). [entries]
+     switches on the dead-callee class (functions unreachable from
+     every listed entry). *)
+  val run : ?entries:string list -> Instr.program -> summary -> finding list
 
   val counts : finding list -> int * int * int (* errors, warnings, infos *)
   val pp_finding : Format.formatter -> finding -> unit

@@ -139,7 +139,12 @@ let rec form_of ~(sign : bool) (t : Term.t) : form =
   | Term.Eq (a, _) when Term.is_bool a ->
       reject "boolean equality used as an arithmetic fact"
   | Term.Eq (a, b) ->
-      if sign then Eq0 (l_sub (linof a) (linof b))
+      let d = l_sub (linof a) (linof b) in
+      if sign then Eq0 d
+      else if l_equal d (l_const r_zero) then
+        (* Identical linear forms: the disequality is false, so it
+           entails the contradiction 1 ≤ 0. *)
+        Le0 (l_const r_one)
       else reject "bare disequality used as a Farkas fact (needs Split_neq)"
   | _ -> reject "unusable Farkas fact: %s" (Term.to_string t)
 

@@ -96,8 +96,7 @@ let scrub () =
   Faultinject.reset ();
   Solver.clear_caches ();
   Pipeline.clear_summary_memo ();
-  Store.clear_domain_memos ();
-  Serve.reset_stats ()
+  Store.clear_domain_memos ()
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-store legs                                              *)

@@ -25,19 +25,6 @@ module Summary = Symex.Summary
    the others and are included for completeness. *)
 let all_qtypes = [ Rr.A; Rr.AAAA; Rr.NS; Rr.CNAME; Rr.SOA; Rr.MX; Rr.TXT ]
 
-(* Fingerprint tags shared by the persistent-store keys built here.
-   These mirror the ones in [Refine.Layers]: the zone is keyed by its
-   rendered text, the budget by its semantic limits only (the wall-clock
-   deadline is an operational concern, not part of what was proved). *)
-let zone_fp (zone : Zone.t) =
-  Digest.to_hex (Digest.string (Dns.Zonefile.render zone))
-
-let limits_tag (b : Budget.t) =
-  let num = function None -> "-" | Some n -> string_of_int n in
-  Printf.sprintf "s%s,p%s,f%s"
-    (num b.Budget.max_solver_steps)
-    (num b.Budget.max_paths) (num b.Budget.max_fuel)
-
 (* Domain-local summary-store memo: one store per (version, mode, zone,
    persistent store), shared across query types, retries, and repeated
    [verify] calls — re-verifying an unchanged version reuses
@@ -86,7 +73,7 @@ let summary_persist_for (pstore : Store.t option) (cfg : Builder.config)
       match Versions.compiled cfg with
       | exception _ -> None
       | prog ->
-          let tag = "z" ^ zone_fp zone in
+          let tag = "z" ^ Layers.zone_fp zone in
           Some
             (Store.summary_persist st
                ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
@@ -238,10 +225,10 @@ let report_key ~prog ~zone ~budget ~qtype ~mode ~retries ~escalation =
       [
         "report-v3";
         Store.Fingerprint.cone_fp prog "resolve";
-        zone_fp zone;
+        Layers.zone_fp zone;
         Rr.rtype_to_string qtype;
         (match mode with Check.Inline_all -> "inline" | _ -> "summ");
-        limits_tag budget;
+        Layers.limits_tag budget;
         Printf.sprintf "r%d,e%d" retries escalation;
       ]
 
@@ -499,95 +486,6 @@ type batch_outcome =
       inconclusive_zones : int;
       reason : Budget.reason; (* why the batch is incomplete *)
     }
-
-let verify_batch ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0) ?budget
-    ?(retries = 0) ?(jobs = 1) ?store
-    (cfg : Builder.config) (origin : Name.t) : batch_outcome =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let zones = Dns.Zonegen.generate_many ~seed ~count origin in
-  (* One zone's verdict depends only on (cfg, zone, qtypes, budget,
-     retries): the merge below consumes verdicts strictly in zone order,
-     so the batch outcome is the same whether the verdicts were computed
-     one by one (jobs <= 1, with the sequential early stop) or in
-     parallel waves of [jobs] zones (where a stop mid-wave discards the
-     rest of the wave). *)
-  let verify_zone (i, zone) =
-    let b = if jobs <= 1 then budget else Budget.clone budget in
-    verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ?store
-      cfg zone
-  in
-  let finish proved inconcl first_reason =
-    if inconcl = 0 then All_clean count
-    else
-      Partial
-        {
-          zones_done = proved;
-          inconclusive_zones = inconcl;
-          reason =
-            Option.value first_reason
-              ~default:(Budget.Internal_error "inconclusive zones");
-        }
-  in
-  (* Fold one verdict into the accumulator; [Error] is the early stop. *)
-  let step i proved inconcl first_reason v =
-    match status v with
-    | Budget.Proved -> Ok (proved + 1, inconcl, first_reason)
-    | Budget.Refuted _ -> Error (Failed { zone_index = i; verdict = v })
-    | Budget.Inconclusive reason -> (
-        let first =
-          match first_reason with Some _ -> first_reason | None -> Some reason
-        in
-        match reason with
-        | Budget.Deadline_exceeded _ ->
-            (* The shared wall clock is gone: every remaining zone
-               would stop the same way. Return what completed. *)
-            Error
-              (Partial
-                 {
-                   zones_done = proved;
-                   inconclusive_zones = inconcl + 1;
-                   reason;
-                 })
-        | _ -> Ok (proved, inconcl + 1, first))
-  in
-  let indexed = List.mapi (fun i z -> (i, z)) zones in
-  if jobs <= 1 then
-    let rec go proved inconcl first_reason = function
-      | [] -> finish proved inconcl first_reason
-      | (i, zone) :: rest -> (
-          match step i proved inconcl first_reason (verify_zone (i, zone)) with
-          | Ok (proved, inconcl, first) -> go proved inconcl first rest
-          | Error outcome -> outcome)
-    in
-    go 0 0 None indexed
-  else
-    (* Waves of [jobs] zones; each wave joins before the next starts, and
-       its verdicts are merged in zone order. *)
-    let rec take n = function
-      | x :: rest when n > 0 ->
-          let wave, rest' = take (n - 1) rest in
-          (x :: wave, rest')
-      | rest -> ([], rest)
-    in
-    let rec go proved inconcl first_reason = function
-      | [] -> finish proved inconcl first_reason
-      | pending -> (
-          let wave, rest = take jobs pending in
-          let verdicts = Parallel.Domainpool.map ~jobs verify_zone wave in
-          let folded =
-            List.fold_left2
-              (fun acc (i, _) v ->
-                match acc with
-                | Error _ -> acc (* stopped mid-wave: discard the rest *)
-                | Ok (proved, inconcl, first) -> step i proved inconcl first v)
-              (Ok (proved, inconcl, first_reason))
-              wave verdicts
-          in
-          match folded with
-          | Ok (proved, inconcl, first) -> go proved inconcl first rest
-          | Error outcome -> outcome)
-    in
-    go 0 0 None indexed
 
 let pp_verdict fmt (v : verdict) =
   Format.fprintf fmt "@[<v>engine %s on zone %s: %s (%.2fs%s)@," v.version
@@ -871,7 +769,7 @@ let outcome_of_items (items : batch_item list) (count : int) :
                  ~default:(Budget.Internal_error "inconclusive zones");
            })
 
-(* [verify_batch] with a write-ahead journal and resume: each completed
+(* Batch verification, optionally journaled: each completed
    zone verdict is appended (status, budget snapshot, fingerprint) and
    flushed before the next zone starts, so killing the process at any
    instant loses at most the zone in flight. [resume] salvages the

@@ -83,16 +83,6 @@ type batch_outcome =
       inconclusive_zones : int;
       reason : Budget.reason;
     }
-(* [jobs > 1] verifies zones in parallel waves of [jobs], merging the
-   verdicts in zone order, so the outcome equals the sequential fold. *)
-val verify_batch :
-  ?qtypes:Check.Rr.rtype list ->
-  ?count:int ->
-  ?seed:int ->
-  ?budget:Budget.t ->
-  ?retries:int ->
-  ?jobs:int ->
-  ?store:Store.t -> Builder.config -> Name.t -> batch_outcome
 (* ---------------- Journaled batch runs ---------------- *)
 
 type item_status =
@@ -117,9 +107,13 @@ type batch_run = {
   br_dropped_bytes : int; (* torn journal tail truncated on resume *)
 }
 
-(* [verify_batch] with a crash-safe write-ahead journal: each completed
-   zone verdict is appended and flushed before the next zone starts, so
-   a kill at any instant loses at most the zone in flight. With
+(* Verify over [count] generated zones (seeded by [seed]), stopping at
+   the first refuted zone or at a shared-deadline overrun. [jobs > 1]
+   verifies zones in parallel waves of [jobs], merged in zone order, so
+   the outcome equals the sequential fold. With [journal], a crash-safe
+   write-ahead journal: each completed zone verdict is appended and
+   flushed before the next zone starts, so a kill at any instant loses
+   at most the zone in flight. With
    [~resume:true] the journal's intact prefix is replayed (not
    re-verified), any torn tail is truncated, the shared budget counters
    are restored, and verification continues from the first unrecorded

@@ -41,7 +41,6 @@ let kind_name k =
 
 let run ?(zone = Spec.Fixtures.figure11_zone) () : result =
   let t0 = Unix.gettimeofday () in
-  Solver.reset_stats ();
   let enc = Encode.encode (Tree.build zone) in
   let prog = Engine.Versions.compiled (Engine.Versions.fixed Engine.Versions.v3_0) in
   let ctx = Exec.create prog in

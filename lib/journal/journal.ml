@@ -15,7 +15,7 @@
    returning, the only damage a kill can cause is one torn frame at the
    tail — exactly what recovery truncates. *)
 
-type t = { path : string; oc : out_channel }
+type t = out_channel
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320)               *)
@@ -44,15 +44,11 @@ let crc32 (s : string) : int32 = Int32.of_int (crc32_int s)
 (* Framing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "DJ01"
-
-let be32 (n : int) : string =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (n land 0xFF));
-  Bytes.to_string b
+let add_be32 b n =
+  Buffer.add_char b (Char.chr ((n lsr 24) land 0xFF));
+  Buffer.add_char b (Char.chr ((n lsr 16) land 0xFF));
+  Buffer.add_char b (Char.chr ((n lsr 8) land 0xFF));
+  Buffer.add_char b (Char.chr (n land 0xFF))
 
 let read_be32 (s : string) (off : int) : int =
   (Char.code s.[off] lsl 24)
@@ -60,32 +56,53 @@ let read_be32 (s : string) (off : int) : int =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let frame (payload : string) : string =
-  magic ^ be32 (String.length payload) ^ be32 (crc32_int payload) ^ payload
+let frame ~magic (payload : string) : string =
+  let b = Buffer.create (String.length payload + 12) in
+  Buffer.add_string b magic;
+  add_be32 b (String.length payload);
+  add_be32 b (crc32_int payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let scan_frames ~magic (data : string) (accept : string -> bool) : int =
+  let len = String.length data in
+  let rec go p =
+    if p + 12 > len || String.sub data p 4 <> magic then p
+    else
+      let plen = read_be32 data (p + 4) in
+      if plen < 1 || p + 12 + plen > len then p
+      else
+        let payload = String.sub data (p + 12) plen in
+        if crc32_int payload = read_be32 data (p + 8) && accept payload then
+          go (p + 12 + plen)
+        else p
+  in
+  go 0
+
+let magic = "DJ01"
 
 let write_record (j : t) (payload : string) : unit =
-  let f = frame payload in
+  let f = frame ~magic payload in
   (* The torn-write fault: half the frame reaches the disk, then the
      process "dies" (the injected exception plays the kill; the CI
      harness uses a real SIGKILL). Flush first so the torn bytes are
      actually visible to the recovering reader. *)
   if Faultinject.fire Faultinject.Journal_torn then begin
     let half = max 1 (String.length f / 2) in
-    output_string j.oc (String.sub f 0 half);
-    flush j.oc;
+    output_string j (String.sub f 0 half);
+    flush j;
     Faultinject.injected Faultinject.Journal_torn
       "journal append torn after %d of %d bytes" half (String.length f)
   end;
-  output_string j.oc f;
-  flush j.oc
+  output_string j f;
+  flush j
 
 (* ------------------------------------------------------------------ *)
 (* API                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let create ~path ~header : t =
-  let oc = open_out_bin path in
-  let j = { path; oc } in
+  let j = open_out_bin path in
   write_record j ("H" ^ header);
   j
 
@@ -98,7 +115,7 @@ let append (j : t) (record : string) : unit =
   write_record j ("R" ^ record)
 
 let finalize (j : t) (record : string) : unit = write_record j ("F" ^ record)
-let close (j : t) : unit = close_out j.oc
+let close (j : t) : unit = close_out j
 
 type recovery = {
   header : string option;
@@ -113,38 +130,24 @@ let empty_recovery =
 (* Scan the raw bytes: returns the recovery and the byte offset just
    past the last intact frame. *)
 let scan (data : string) : recovery * int =
-  let len = String.length data in
   let header = ref None and records = ref [] and final = ref None in
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok do
-    let p = !pos in
-    if p + 12 > len then ok := false
-    else if String.sub data p 4 <> magic then ok := false
-    else
-      let plen = read_be32 data (p + 4) in
-      let crc = read_be32 data (p + 8) in
-      if plen < 1 || p + 12 + plen > len then ok := false
-      else
-        let payload = String.sub data (p + 12) plen in
-        if crc32_int payload <> crc then ok := false
-        else begin
-          let body = String.sub payload 1 (plen - 1) in
-          (match payload.[0] with
-          | 'H' -> if !header = None then header := Some body
-          | 'R' -> records := body :: !records
-          | 'F' -> final := Some body
-          | _ -> ());
-          pos := p + 12 + plen
-        end
-  done;
+  let good =
+    scan_frames ~magic data (fun payload ->
+        let body = String.sub payload 1 (String.length payload - 1) in
+        (match payload.[0] with
+        | 'H' -> if !header = None then header := Some body
+        | 'R' -> records := body :: !records
+        | 'F' -> final := Some body
+        | _ -> ());
+        true)
+  in
   ( {
       header = !header;
       records = List.rev !records;
       final = !final;
-      dropped_bytes = len - !pos;
+      dropped_bytes = String.length data - good;
     },
-    !pos )
+    good )
 
 let read_file (path : string) : string option =
   match open_in_bin path with
@@ -181,11 +184,6 @@ let open_resume ~path ~header : (t * recovery, string) result =
                 ("records", string_of_int (List.length rec_.records));
                 ("dropped_bytes", string_of_int rec_.dropped_bytes);
               ];
-          let oc =
-            open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-          in
-          Ok ({ path; oc }, rec_))
-
-(* [path] is carried for diagnostics and potential re-open; keep the
-   field alive even though nothing reads it yet. *)
-let _ = fun (j : t) -> j.path
+          Ok
+            ( open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path,
+              rec_ ))

@@ -14,6 +14,21 @@ type t
    and for callers that want to fingerprint payloads the same way. *)
 val crc32 : string -> int32
 
+(* The CRC frame, shared with every other append-only file of the same
+   discipline (the persistent store frames its entries with its own
+   magic): [magic] (4 bytes), the payload length and the payload's
+   CRC-32 (both big-endian 32-bit), then the payload. A pure encoder —
+   no fault site. *)
+val frame : magic:string -> string -> string
+
+(* Walk the intact frames of [data] from offset 0: each frame whose
+   magic matches, whose non-empty payload fits in [data] and whose CRC
+   checks out is handed to [accept]; the walk stops at the first frame
+   that fails a check or that [accept] refuses. Returns the offset just
+   past the last accepted frame (the length of [data] when every byte
+   belongs to an accepted frame). *)
+val scan_frames : magic:string -> string -> (string -> bool) -> int
+
 (* Create a fresh journal at [path] (truncating any existing file) and
    write the header record. *)
 val create : path:string -> header:string -> t

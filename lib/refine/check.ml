@@ -129,7 +129,7 @@ let qname_cells () =
 
 (* What this harness (and every other caller of the compiled engine —
    the pipeline, the lint CLI, the chaos soak) guarantees about its
-   top-level calls into the program, handed to [Analysis.summarize]:
+   top-level calls into the program, handed to [Analysis.analyze]:
 
    - root: `resolve` — the only function the harness enters directly,
      so every other function's parameters may soundly be narrowed to
@@ -479,12 +479,19 @@ let replay_engine (cfg : Engine.Builder.config) (zone : Zone.t)
 let replay_spec (zone : Zone.t) (q : Message.query) : string =
   Message.response_to_string (Rrlookup.resolve zone q)
 
+(* Growth of the registry counters solver.[name] on this domain since
+   the snapshot [m0]. *)
+let solver_since m0 =
+  let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
+  fun name -> Trace.Metrics.get d ("solver." ^ name)
+
 (* One verification attempt under [budget]: the existing full-path
    product check, now charging every solver call, fork, and step to the
-   budget, and recording how many solver Unknowns it leaned on. Raises
+   budget, and recording how many solver Unknowns it leaned on since
+   [m0], the registry snapshot taken as the attempt started. Raises
    (Budget.Exhausted, Summary.Summary_failed, …) on failure; the
    [check_version] wrapper below converts those into verdicts. *)
-let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
+let check_version_attempt ~m0 ~(budget : Budget.t) ~(mode : mode)
     ~(summary_fallback : bool) ?store (cfg : Engine.Builder.config)
     (zone : Zone.t) ~(qtype : Rr.rtype) : report =
   Trace.with_span "check"
@@ -500,7 +507,6 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
   @@ fun () ->
   Solver.with_budget budget @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  Solver.reset_stats ();
   let prog = Engine.Versions.compiled cfg in
   let tree = Dnstree.Tree.build zone in
   let enc = Encode.encode tree in
@@ -583,14 +589,10 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
   (* Cache behavior depends on what ran before on this domain, so these
      tallies are informational only (det:false — excluded from the
      deterministic span-tree fingerprint). *)
-  (let s = Solver.stats () in
-   Trace.add_attr ~det:false "cache_hits" (string_of_int s.Solver.cache_hits);
-   Trace.add_attr ~det:false "cache_misses"
-     (string_of_int s.Solver.cache_misses);
-   Trace.add_attr ~det:false "incremental_checks"
-     (string_of_int s.Solver.incremental_checks);
-   Trace.add_attr ~det:false "scratch_checks"
-     (string_of_int s.Solver.scratch_checks));
+  let solver = solver_since m0 in
+  List.iter
+    (fun name -> Trace.add_attr ~det:false name (string_of_int (solver name)))
+    [ "cache_hits"; "cache_misses"; "incremental_checks"; "scratch_checks" ];
   {
     version = cfg.Engine.Builder.version;
     qtype;
@@ -598,11 +600,12 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
     spec_paths = List.length spec_paths;
     pairs_checked = !pairs;
     solver_calls = h.exec_ctx.Exec.solver_calls + spec_solver_calls;
-    (* Global since reset above: covers Unknown-as-feasible branches in
-       the executor *and* Unknown-validity entailments in check_eq. *)
-    unknowns = (Solver.stats ()).Solver.unknowns;
-    cert_checks = (Solver.stats ()).Solver.cert_checks;
-    cert_failures = (Solver.stats ()).Solver.cert_failures;
+    (* Global since the attempt started: covers Unknown-as-feasible
+       branches in the executor *and* Unknown-validity entailments in
+       check_eq. *)
+    unknowns = solver "unknowns";
+    cert_checks = solver "cert_checks";
+    cert_failures = solver "cert_failures";
     summary_cases =
       List.map
         (fun (s : Summary.t) -> (s.Summary.fn, Summary.case_count s))
@@ -623,7 +626,7 @@ let check_version_attempt ~(budget : Budget.t) ~(mode : mode)
          Unknown, which already forces an inconclusive status; if one
          appears without any Unknown it is checker imprecision, and the
          run still must not count as a proof. *)
-      (if !unconfirmed > 0 && (Solver.stats ()).Solver.unknowns = 0 then
+      (if !unconfirmed > 0 && solver "unknowns" = 0 then
          Some
            (Budget.Internal_error
               (Printf.sprintf
@@ -658,21 +661,22 @@ let check_version ?budget ?(mode = With_summaries) ?(fallback = true) ?store
   let version = cfg.Engine.Builder.version in
   let t0 = Unix.gettimeofday () in
   let attempt ~budget ~mode ~summary_fallback =
+    let m0 = Trace.Metrics.snapshot () in
     match
-      check_version_attempt ~budget ~mode ~summary_fallback ?store cfg zone
-        ~qtype
+      check_version_attempt ~m0 ~budget ~mode ~summary_fallback ?store cfg
+        zone ~qtype
     with
     | r -> Ok r
     | exception e ->
-        (* The attempt's cert counters are still live ([reset_stats]
-           runs at attempt start). A crash downstream of a certificate
-           rejection is reported as the rejection, not as the crash: the
-           corrupted answer was degraded to Unknown and the engine fell
-           over in the resulting unexpected state — the root cause is
-           the unjustifiable verdict. Sharper reasons (deadline, fuel,
-           an injected fault) keep priority. *)
-        let s = Solver.stats () in
-        let cc = s.Solver.cert_checks and cf = s.Solver.cert_failures in
+        (* Counted from the attempt's start, like its report. A crash
+           downstream of a certificate rejection is reported as the
+           rejection, not as the crash: the corrupted answer was
+           degraded to Unknown and the engine fell over in the resulting
+           unexpected state — the root cause is the unjustifiable
+           verdict. Sharper reasons (deadline, fuel, an injected fault)
+           keep priority. *)
+        let solver = solver_since m0 in
+        let cc = solver "cert_checks" and cf = solver "cert_failures" in
         let reason =
           match reason_of_check_exn e with
           | Budget.Internal_error m when cf > 0 ->

@@ -141,12 +141,6 @@ val pin_qlen :
 val replay_engine :
   Engine.Builder.config -> Zone.t -> Message.query -> string
 val replay_spec : Zone.t -> Message.query -> string
-val check_version_attempt :
-  budget:Budget.t ->
-  mode:mode ->
-  summary_fallback:bool ->
-  ?store:Summary.store ->
-  Engine.Builder.config -> Zone.t -> qtype:Rr.rtype -> report
 val reason_of_check_exn : exn -> Budget.reason
 
 (* The robust entry point: always returns a report; budget exhaustion,

@@ -591,6 +591,10 @@ let store_entry_check ~key ~payload =
    fresh clean verdict is recorded for the next run. *)
 let h_layer_paths = Trace.Metrics.histogram "layer.paths"
 
+(* The solver counters a layer report reads, as deltas over the check. *)
+let c_unknowns = Trace.Metrics.counter "solver.unknowns"
+let c_cert_failures = Trace.Metrics.counter "solver.cert_failures"
+
 let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
     (prog : Minir.Instr.program) (layer : string) : layer_report =
   Trace.with_span "layer" ~attrs:[ ("layer", layer) ] @@ fun () ->
@@ -620,9 +624,10 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
       Trace.add_attr ~det:false "store" "hit";
       r
   | None ->
-  let unknowns0 = (Solver.stats ()).Solver.unknowns in
-  let certf0 = (Solver.stats ()).Solver.cert_failures in
-  let certf () = (Solver.stats ()).Solver.cert_failures - certf0 in
+  let unknowns0 = Trace.Metrics.value c_unknowns in
+  let certf0 = Trace.Metrics.value c_cert_failures in
+  let unknowns () = Trace.Metrics.value c_unknowns - unknowns0 in
+  let certf () = Trace.Metrics.value c_cert_failures - certf0 in
   (* A rejected certificate downgrades the layer: the degraded answers
      already read as Unknowns, but the sharper cause should be named. *)
   let cert_reason inconclusive =
@@ -663,7 +668,7 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
           spec_paths;
           pairs;
           mismatches;
-          unknowns = (Solver.stats ()).Solver.unknowns - unknowns0;
+          unknowns = unknowns ();
           cert_failures = certf ();
           inconclusive = cert_reason None;
           elapsed = Unix.gettimeofday () -. t0;
@@ -684,7 +689,7 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
         spec_paths = 0;
         pairs = 0;
         mismatches = [];
-        unknowns = (Solver.stats ()).Solver.unknowns - unknowns0;
+        unknowns = unknowns ();
         cert_failures = certf ();
         inconclusive = Some (Budget.reason_of_exn e);
         elapsed = Unix.gettimeofday () -. t0;

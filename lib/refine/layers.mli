@@ -65,6 +65,13 @@ val layer_setup :
   Minir.Instr.program ->
   Dnstree.Encode.t option ->
   string -> Sval.memory * Sval.sval list * Term.t list
+(* Persistent-store key tags shared with the pipeline's report keys:
+   the zone by its rendered text, the budget by its semantic limits
+   only (the wall-clock deadline is an operational concern, not part of
+   what was proved). *)
+val zone_fp : Dns.Zone.t -> string
+val limits_tag : Budget.t -> string
+
 (* Deep structural check for [Store.fsck] over the layer-verdict
    entries this module frames ("L|…" keys); [None] for other kinds. *)
 val store_entry_check :

@@ -82,14 +82,9 @@ let check_cert (atoms : Linear.atom list) : cert_result =
         | Linear.Neq_zero lin -> (
             match Linear.const_value lin with
             | Some 0 ->
-                (* lin is the constant 0, so both tightenings are the
-                   contradictions 1 ≤ 0 and 1 ≤ 0. *)
-                raise
-                  (Trivially_unsat
-                     (P_split
-                        ( i,
-                          P_farkas [ (F_neq_le i, Q.one) ],
-                          P_farkas [ (F_neq_ge i, Q.one) ] )))
+                (* lin is the constant 0: the disequality is itself the
+                   contradiction (a checker reads 0 ≠ 0 as 1 ≤ 0). *)
+                raise (Trivially_unsat (P_farkas [ (F_atom i, Q.one) ]))
             | Some _ -> ()
             | None -> neqs := (lin, i) :: !neqs))
       atoms;

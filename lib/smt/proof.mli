@@ -14,7 +14,9 @@
      signed =-facts — whose variables cancel and whose constant is
      strictly positive). Disequality reasoning enters through
      [Split_neq], which tightens an integer disequality lin ≠ 0 into
-     the exhaustive case split lin ≤ −1 ∨ −lin ≤ −1.
+     the exhaustive case split lin ≤ −1 ∨ −lin ≤ −1; a disequality
+     whose two sides are the same linear form is false outright, and a
+     [Farkas] step may cite it as the contradiction 1 ≤ 0.
 
    This module also hosts the validator registration hook. The solver
    consults the registered validator (installed by [Cert.install] from

@@ -24,29 +24,13 @@
 
 type result = Sat of Model.t | Unsat | Unknown
 
-(* Statistics for the Figure-12 style reporting, stored in the metrics
-   registry (lib/trace): each named counter owns a domain-local cell,
-   so parallel workers never contend, and the domain pool merges worker
-   deltas at the join barrier with [Trace.Metrics.absorb]. The [stats]
-   record survives as a *view* — [stats ()] reads the registry and
-   subtracts the current window mark — so callers keep the field-access
-   idiom while the storage is shared with every other subsystem's
-   metrics. [unknowns] counts every Unknown answer (including forced
-   ones): any check that leaned on one must be downgraded to
-   inconclusive by its caller. *)
-type stats = {
-  mutable checks : int;
-  mutable fast_path : int;
-  mutable dpllt_iterations : int;
-  mutable unknowns : int;
-  mutable cache_hits : int;     (* conjunctions answered from the memo *)
-  mutable cache_misses : int;   (* conjunctions solved then memoized *)
-  mutable incremental_checks : int; (* served via an assertion stack *)
-  mutable scratch_checks : int; (* conjunction rebuilt from scratch *)
-  mutable cert_checks : int; (* certificates validated *)
-  mutable cert_failures : int; (* certificates that failed validation *)
-}
-
+(* Counters live only in the metrics registry (lib/trace), under the
+   "solver.*" names: each owns a domain-local cell, so parallel workers
+   never contend, and the domain pool merges worker deltas at the join
+   barrier with [Trace.Metrics.absorb]. Callers read before/after
+   deltas of the named counters. [solver.unknowns] counts every Unknown
+   answer (including forced ones): any check that leaned on one must be
+   downgraded to inconclusive by its caller. *)
 module M = Trace.Metrics
 
 let c_checks = M.counter "solver.checks"
@@ -76,85 +60,6 @@ let timed (h : M.histogram) (f : unit -> 'a) : 'a =
     r
   end
 
-let fresh_stats () =
-  {
-    checks = 0;
-    fast_path = 0;
-    dpllt_iterations = 0;
-    unknowns = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    incremental_checks = 0;
-    scratch_checks = 0;
-    cert_checks = 0;
-    cert_failures = 0;
-  }
-
-(* The registry's per-domain cumulative values, as a record. *)
-let raw () : stats =
-  {
-    checks = M.value c_checks;
-    fast_path = M.value c_fast_path;
-    dpllt_iterations = M.value c_dpllt_iterations;
-    unknowns = M.value c_unknowns;
-    cache_hits = M.value c_cache_hits;
-    cache_misses = M.value c_cache_misses;
-    incremental_checks = M.value c_incremental_checks;
-    scratch_checks = M.value c_scratch_checks;
-    cert_checks = M.value c_cert_checks;
-    cert_failures = M.value c_cert_failures;
-  }
-
-let add_stats ~into:(a : stats) (b : stats) =
-  a.checks <- a.checks + b.checks;
-  a.fast_path <- a.fast_path + b.fast_path;
-  a.dpllt_iterations <- a.dpllt_iterations + b.dpllt_iterations;
-  a.unknowns <- a.unknowns + b.unknowns;
-  a.cache_hits <- a.cache_hits + b.cache_hits;
-  a.cache_misses <- a.cache_misses + b.cache_misses;
-  a.incremental_checks <- a.incremental_checks + b.incremental_checks;
-  a.scratch_checks <- a.scratch_checks + b.scratch_checks;
-  a.cert_checks <- a.cert_checks + b.cert_checks;
-  a.cert_failures <- a.cert_failures + b.cert_failures
-
-let diff_stats (a : stats) (b : stats) : stats =
-  {
-    checks = a.checks - b.checks;
-    fast_path = a.fast_path - b.fast_path;
-    dpllt_iterations = a.dpllt_iterations - b.dpllt_iterations;
-    unknowns = a.unknowns - b.unknowns;
-    cache_hits = a.cache_hits - b.cache_hits;
-    cache_misses = a.cache_misses - b.cache_misses;
-    incremental_checks = a.incremental_checks - b.incremental_checks;
-    scratch_checks = a.scratch_checks - b.scratch_checks;
-    cert_checks = a.cert_checks - b.cert_checks;
-    cert_failures = a.cert_failures - b.cert_failures;
-  }
-
-let copy_into (dst : stats) (src : stats) =
-  dst.checks <- src.checks;
-  dst.fast_path <- src.fast_path;
-  dst.dpllt_iterations <- src.dpllt_iterations;
-  dst.unknowns <- src.unknowns;
-  dst.cache_hits <- src.cache_hits;
-  dst.cache_misses <- src.cache_misses;
-  dst.incremental_checks <- src.incremental_checks;
-  dst.scratch_checks <- src.scratch_checks;
-  dst.cert_checks <- src.cert_checks;
-  dst.cert_failures <- src.cert_failures
-
-(* The window mark, domain-local. [stats ()] is everything since the
-   last [reset_stats] (called per verification attempt, to scope the
-   per-attempt [unknowns] reads); [lifetime ()] is the domain's whole
-   registry total. Fresh domains start with zero registry cells and a
-   zero mark, so a worker's raw values are already the delta its joiner
-   wants. *)
-let mark_key : stats Domain.DLS.key = Domain.DLS.new_key fresh_stats
-
-let stats () : stats = diff_stats (raw ()) (Domain.DLS.get mark_key)
-let reset_stats () = copy_into (Domain.DLS.get mark_key) (raw ())
-let lifetime () : stats = raw ()
-
 (* The budget in scope for this solver, if any. Scoped rather than
    threaded per-call: every branch decision and refinement obligation
    lands here, and the entry points (Refine.Check, Refine.Layers,
@@ -181,7 +86,7 @@ let with_budget (b : Budget.t) (f : unit -> 'a) : 'a =
    the incremental stack's refuted-prefix short-circuit — is validated
    against its certificate first; a result whose certificate does not
    check out is degraded to Unknown and counted in
-   [stats.cert_failures], so a corrupted memo entry can degrade a
+   solver.cert_failures, so a corrupted memo entry can degrade a
    verdict but never flip it. *)
 let certify = Atomic.make true
 let set_certify b = Atomic.set certify b
@@ -332,7 +237,7 @@ let tree_of_lia_proof (atoms : Linear.atom array) (provs : Term.t array)
    canonical key, so re-anchoring works on any hit). A [Cache_corrupt]
    fault poisons the table entry itself on a hit: the corrupted answer
    keeps being replayed until certificate validation rejects it. *)
-let lia_check_cached_atoms (atoms : (Linear.atom * Term.t) list) :
+let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
     Lia.result * Proof.tree option =
   let keyed =
     List.map (fun ((a, _) as p) -> (Linear.key_of_atom a, p)) atoms
@@ -414,25 +319,6 @@ let lia_check_cached_atoms (atoms : (Linear.atom * Term.t) list) :
                   ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
               | Lia.Unsat, None | Lia.Unknown, _ -> ()));
           (r, anchored))
-
-(* A disequality between identical linear forms (x+y ≠ y+x) is false,
-   but no certificate can say so: the checker splits a disequality only
-   when its difference is nonzero. Decide the other atoms instead — a
-   refutation of a subset of the facts certifies the whole conjunction.
-   Otherwise the answer is still Unsat, without a certificate, which the
-   gatekeeper degrades to Unknown. *)
-let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
-    Lia.result * Proof.tree option =
-  let trivially_false = function
-    | Linear.Neq_zero lin, _ -> Linear.const_value lin = Some 0
-    | _ -> false
-  in
-  match List.partition trivially_false atoms with
-  | [], _ -> lia_check_cached_atoms atoms
-  | _ :: _, rest -> (
-      match lia_check_cached_atoms rest with
-      | (Lia.Unsat, Some _) as r -> r
-      | _ -> (Lia.Unsat, None))
 
 (* Contradictory boolean literals? *)
 let contradictory_bools bools =

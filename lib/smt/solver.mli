@@ -13,33 +13,21 @@
    A domain-local result cache (canonical-conjunction → result memo) and
    an incremental assertion stack sit on top; see [Incremental]. Both
    are always on, and the persistent store plugs in below the cache.
-   Certificate validation ([set_certify]) is the one switch. *)
+   Certificate validation ([set_certify]) is the one switch. The solver
+   keeps no statistics record: what it counts is in the metrics
+   registry, read as before/after deltas (see below). *)
 
 type result = Sat of Model.t | Unsat | Unknown
 
-type stats = {
-  mutable checks : int;
-  mutable fast_path : int;
-  mutable dpllt_iterations : int;
-  mutable unknowns : int; (* Unknown answers, incl. injected ones *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable incremental_checks : int;
-  mutable scratch_checks : int;
-  mutable cert_checks : int; (* certificates validated *)
-  mutable cert_failures : int; (* certificates that failed validation *)
-}
-
-(* The counters live in the metrics registry (lib/trace) under the
-   "solver.*" names, domain-local; the record is a snapshot view over
-   them. [stats ()] is the window since the last [reset_stats];
-   [lifetime ()] the domain's whole total (Parallel.Domainpool absorbs
-   worker registry snapshots at the join barrier). *)
-val stats : unit -> stats
-val reset_stats : unit -> unit
-val lifetime : unit -> stats
-val add_stats : into:stats -> stats -> unit
-val diff_stats : stats -> stats -> stats
+(* Counters live in the metrics registry (lib/trace) under the
+   "solver.*" names, one domain-local cell each: solver.checks,
+   solver.fast_path, solver.dpllt_iterations, solver.unknowns (every
+   Unknown answer, forced ones included), solver.cache_hits,
+   solver.cache_misses, solver.incremental_checks,
+   solver.scratch_checks, solver.cert_checks (certificates validated)
+   and solver.cert_failures (certificates rejected). Callers take
+   before/after deltas of the named counters; Parallel.Domainpool
+   absorbs worker deltas at the join barrier. *)
 
 (* Drop this domain's result caches (Unknown answers are never cached),
    so benchmarks and tests can measure from a cold start. *)
@@ -50,7 +38,7 @@ val clear_caches : unit -> unit
    and Unsat answer handed out — fresh, replayed from a cache, or served
    by the incremental stack's refuted-prefix short-circuit — is
    validated against its certificate first; an unjustifiable answer is
-   degraded to Unknown and counted in [stats.cert_failures]. A corrupted
+   degraded to Unknown and counted in solver.cert_failures. A corrupted
    memo entry can therefore degrade a verdict but never flip one. *)
 val set_certify : bool -> unit
 val certify_enabled : unit -> bool

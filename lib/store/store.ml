@@ -1,8 +1,8 @@
 (* Crash-safe, certificate-guarded persistent verification store
    (ISSUE 6 tentpole).
 
-   On-disk format: PR 3's CRC-framed append-only discipline — each
-   frame is magic "DS01" + be32 length + be32 CRC-32 + payload. The
+   On-disk format: the batch journal's CRC frame ([Journal.frame] and
+   [Journal.scan_frames]) under the store's own magic "DS01". The
    first frame is a header naming the format ("dnsv-store v1 fmt=1");
    every later frame is an entry: a key (prefix-tagged content hash)
    and an opaque payload. Appends are flushed before returning, so a
@@ -50,27 +50,7 @@ let lock_name = "store.lock"
 (* Frames                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_be32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (n land 0xFF))
-
-let read_be32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let crc s = Int32.to_int (Journal.crc32 s) land 0xFFFFFFFF
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 12) in
-  Buffer.add_string b magic;
-  add_be32 b (String.length payload);
-  add_be32 b (crc payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+let frame = Journal.frame ~magic
 
 let header_frame () =
   let b = Buffer.create 32 in
@@ -96,57 +76,45 @@ type scan = {
   s_size : int;
 }
 
+(* [Journal.scan_frames] hands over non-empty payloads only. *)
 let parse_payload payload =
-  if String.length payload = 0 then None
-  else
-    match payload.[0] with
-    | 'H' -> Some (`Header (String.sub payload 1 (String.length payload - 1)))
-    | 'E' -> (
-        let r = Codec.reader (String.sub payload 1 (String.length payload - 1)) in
-        match
-          let k = Codec.rstr r in
-          let v = Codec.rstr r in
-          (k, v, Codec.at_end r)
-        with
-        | k, v, true -> Some (`Entry (k, v))
-        | _, _, false -> None
-        | exception Codec.Bad _ -> None)
-    | _ -> None
+  let body = String.sub payload 1 (String.length payload - 1) in
+  match payload.[0] with
+  | 'H' -> Some (`Header body)
+  | 'E' -> (
+      let r = Codec.reader body in
+      match
+        let k = Codec.rstr r in
+        let v = Codec.rstr r in
+        (k, v, Codec.at_end r)
+      with
+      | k, v, true -> Some (`Entry (k, v))
+      | _, _, false -> None
+      | exception Codec.Bad _ -> None)
+  | _ -> None
 
 let scan_file path : scan option =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
   | data ->
-      let size = String.length data in
       let header = ref None and entries = ref [] in
-      let pos = ref 0 and ok = ref true in
-      while !ok && !pos + 12 <= size do
-        if String.sub data !pos 4 <> magic then ok := false
-        else begin
-          let len = read_be32 data (!pos + 4) in
-          let sum = read_be32 data (!pos + 8) in
-          if len < 0 || !pos + 12 + len > size then ok := false
-          else begin
-            let payload = String.sub data (!pos + 12) len in
-            if crc payload <> sum then ok := false
-            else
-              match parse_payload payload with
-              | Some (`Header h) when !pos = 0 ->
-                  header := Some h;
-                  pos := !pos + 12 + len
-              | Some (`Entry (k, v)) when !header <> None ->
-                  entries := (k, v) :: !entries;
-                  pos := !pos + 12 + len
-              | _ -> ok := false
-          end
-        end
-      done;
+      let good_end =
+        Journal.scan_frames ~magic data (fun payload ->
+            match parse_payload payload with
+            | Some (`Header h) when !header = None ->
+                header := Some h;
+                true
+            | Some (`Entry (k, v)) when !header <> None ->
+                entries := (k, v) :: !entries;
+                true
+            | _ -> false)
+      in
       Some
         {
           s_header = !header;
           s_entries = List.rev !entries;
-          s_good_end = !pos;
-          s_size = size;
+          s_good_end = good_end;
+          s_size = String.length data;
         }
 
 (* ------------------------------------------------------------------ *)

@@ -373,7 +373,7 @@ let test_soundness_engine () =
       List.iter
         (fun cfg ->
           let prog = Engine.Versions.compiled cfg in
-          let summary = Analysis.summarize ?env prog in
+          let summary = Analysis.analyze ?env prog in
           let violations = ref 0 and observed = ref 0 in
           let where = cfg.Engine.Builder.version ^ " (" ^ env_name ^ ")" in
           let observer fn label frame mem =
@@ -409,7 +409,8 @@ let test_soundness_engine () =
 (* Lint                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let lint_json prog = Analysis.Lint.to_json (Analysis.Lint.run prog)
+let lint prog = Analysis.Lint.run prog (Analysis.analyze prog)
+let lint_json prog = Analysis.Lint.to_json (lint prog)
 
 let test_lint_deterministic () =
   List.iter
@@ -423,7 +424,7 @@ let test_lint_deterministic () =
 let test_lint_engines_clean () =
   List.iter
     (fun cfg ->
-      let findings = Analysis.Lint.run (Engine.Versions.compiled cfg) in
+      let findings = lint (Engine.Versions.compiled cfg) in
       check_int
         (cfg.Engine.Builder.version ^ ": no lint findings")
         0
@@ -431,7 +432,8 @@ let test_lint_engines_clean () =
     Engine.Versions.all
 
 (* Lint output is independent of parallel verify runs warming the
-   domain-local memos (the `--jobs` independence gate). *)
+   domain-local solver and compile state (the `--jobs` independence
+   gate). *)
 let test_lint_jobs_independent () =
   let cfg = Engine.Versions.fixed Engine.Versions.v1_0 in
   let prog = Engine.Versions.compiled cfg in
@@ -462,7 +464,7 @@ let test_lint_catches_seeded_bugs () =
      }\n"
   in
   let prog = Golite.Compile.compile (Golite.Parse.program_of_string_exn src) in
-  let findings = Analysis.Lint.run prog in
+  let findings = lint prog in
   let has rule fn =
     List.exists
       (fun (f : Analysis.Lint.finding) ->

@@ -265,6 +265,32 @@ let test_contradictory_box () =
   | Solver.Unsat -> ()
   | _ -> Alcotest.fail "contradictory unit box must answer Unsat"
 
+(* A disequality between identical linear forms (2y vs y+y) is false on
+   its own, so each term below is Unsat, whether the solver takes the
+   DPLL(T) path (under a negated disjunction) or the conjunctive one.
+   The certificate must validate, not cite the folded tightening [false]
+   as a Farkas fact. *)
+let test_identical_forms_disequality () =
+  let same = Term.eq (Term.mul_const 2 y) (Term.add [ y; y ]) in
+  List.iter
+    (fun t ->
+      match Solver.check_core_cert [ t ] with
+      | Solver.Unsat, Some (Proof.Unsat_witness tree) -> (
+          match Cert.validate_unsat [ t ] tree with
+          | Proof.Valid -> ()
+          | Proof.Invalid why ->
+              Alcotest.failf "%s: certificate rejected: %s" (Term.to_string t)
+                why)
+      | Solver.Unsat, _ -> Alcotest.fail "Unsat without a certificate"
+      | (Solver.Sat _ | Solver.Unknown), _ -> Alcotest.fail "expected Unsat")
+    [
+      Term.not_
+        (Term.or_
+           [ Term.lt (Term.add [ x; Term.int 4 ]) (Term.int 0); same ]);
+      Term.not_ same;
+      Term.and_ [ Term.not_ same; Term.lt (Term.int 6) x ];
+    ]
+
 let test_solver_steps_cap () =
   (* Five independently clashing disjuncts force at least five DPLL(T)
      refutation iterations, so a 3-step budget must trip mid-loop with
@@ -318,5 +344,9 @@ let () =
               prop_unsat_certified;
               prop_satisfiable_never_unsat;
               prop_corrupt_never_flips_solver;
-            ] );
+            ]
+        @ [
+            Alcotest.test_case "disequality of identical forms certifies"
+              `Quick test_identical_forms_disequality;
+          ] );
     ]

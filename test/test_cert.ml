@@ -163,6 +163,8 @@ let prop_unknown_never_cached =
 
 (* A corrupted cache entry is caught by certificate re-validation:
    the answer may degrade to Unknown but can never flip. *)
+let cert_failures = Trace.Metrics.counter "solver.cert_failures"
+
 let prop_corruption_always_caught =
   QCheck.Test.make ~name:"corrupted cache entry always caught" ~count:300
     arb_conj (fun ts ->
@@ -170,14 +172,14 @@ let prop_corruption_always_caught =
       Solver.clear_caches ();
       let honest = Solver.check ts in
       QCheck.assume (kind honest <> "unknown");
-      let failures_before = (Solver.stats ()).Solver.cert_failures in
+      let failures_before = Trace.Metrics.value cert_failures in
       Faultinject.arm ~persistent:true ~after:1 Faultinject.Cache_corrupt;
       let corrupted = Solver.check ts in
       Faultinject.reset ();
       (* The poisoned entry persists in the table; validation must keep
          rejecting it on every later hit too. *)
       let later = Solver.check ts in
-      let failures_after = (Solver.stats ()).Solver.cert_failures in
+      let failures_after = Trace.Metrics.value cert_failures in
       Solver.clear_caches ();
       let never_flipped =
         kind corrupted <> flip (kind honest) && kind later <> flip (kind honest)

@@ -39,9 +39,11 @@ let test_pipeline_dirty_verdict () =
 
 let test_verify_batch () =
   match
-    Dnsv.Pipeline.verify_batch ~qtypes:[ Rr.A ] ~count:3 ~seed:11
-      (Versions.fixed Versions.v3_0)
-      (Name.of_string_exn "batch.example")
+    (Dnsv.Pipeline.verify_batch_run ~qtypes:[ Rr.A ] ~count:3 ~seed:11
+       (Versions.fixed Versions.v3_0)
+       (Name.of_string_exn "batch.example"))
+      .Dnsv.Pipeline.br_outcome
+    |> Option.get
   with
   | Dnsv.Pipeline.All_clean n -> check_int "all zones verified" 3 n
   | Dnsv.Pipeline.Failed { zone_index; verdict } ->
@@ -55,9 +57,11 @@ let test_verify_batch_catches_buggy () =
   (* v1.0's MX confusion shows up on generated zones (they contain MX
      records), so the batch must fail. *)
   match
-    Dnsv.Pipeline.verify_batch ~qtypes:[ Rr.MX ] ~count:5 ~seed:11
-      Versions.v1_0
-      (Name.of_string_exn "batch.example")
+    (Dnsv.Pipeline.verify_batch_run ~qtypes:[ Rr.MX ] ~count:5 ~seed:11
+       Versions.v1_0
+       (Name.of_string_exn "batch.example"))
+      .Dnsv.Pipeline.br_outcome
+    |> Option.get
   with
   | Dnsv.Pipeline.All_clean _ ->
       Alcotest.fail "buggy engine must fail batch verification"

@@ -325,11 +325,12 @@ let test_parallel_batch_matches_sequential () =
   let cfg = Engine.Versions.fixed Engine.Versions.v3_0 in
   let origin = Dns.Name.of_string_exn "batch.example" in
   let run jobs =
-    Dnsv.Pipeline.verify_batch ~qtypes:[ Dns.Rr.A ] ~count:3 ~seed:7
-      ~budget:(Budget.create ()) ~jobs cfg origin
-    |> Dnsv.Pipeline.fingerprint_batch
+    (Dnsv.Pipeline.verify_batch_run ~qtypes:[ Dns.Rr.A ] ~count:3 ~seed:7
+       ~budget:(Budget.create ()) ~jobs cfg origin)
+      .Dnsv.Pipeline.br_outcome
+    |> Option.get |> Dnsv.Pipeline.fingerprint_batch
   in
-  check_string "verify_batch jobs=2 equals jobs=1" (run 1) (run 2)
+  check_string "batch jobs=2 equals jobs=1" (run 1) (run 2)
 
 (* Two parallel runs under the same armed fault plan must agree: worker
    domains inherit the plan with fresh arrival counters, so the fault

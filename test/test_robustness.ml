@@ -228,8 +228,11 @@ let test_summary_failure_without_fallback () =
 let test_batch_partial_under_deadline () =
   let budget = Budget.create ~deadline_s:0.3 () in
   match
-    Pipeline.verify_batch ~qtypes:[ Rr.A ] ~count:20 ~seed:11 ~budget clean_cfg
-      (Name.of_string_exn "batch.example")
+    (Pipeline.verify_batch_run ~qtypes:[ Rr.A ] ~count:20 ~seed:11 ~budget
+       clean_cfg
+       (Name.of_string_exn "batch.example"))
+      .Pipeline.br_outcome
+    |> Option.get
   with
   | Pipeline.Partial { zones_done; reason = Budget.Deadline_exceeded _; _ } ->
       check_bool "stopped before finishing" true (zones_done < 20)
